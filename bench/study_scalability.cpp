@@ -11,7 +11,7 @@
 // `--shard=i/n` restricting this invocation to one shard of the task grid
 // and `--checkpoint` making each shard resumable.  Per-shard wall time and
 // cells/s quantify the scale-out; the shard checkpoints recombine
-// bit-identically with accu_merge.
+// bit-identically with `accu merge`.
 //
 // `--load-latency` switches to the instance-load study (DESIGN.md §17):
 // each scale is written as both the text format and the binary .accui
@@ -149,7 +149,7 @@ int run(int argc, char** argv) {
                "--threads/--checkpoint)");
   opts.declare("shard",
                "run one shard i/n of the sweep grid (with --sweep); merge "
-               "the per-shard checkpoints with accu_merge");
+               "the per-shard checkpoints with 'accu merge'");
   opts.declare("load-latency",
                "instance-load mode: write each scale as text and binary "
                ".accui, report parse vs mmap load times");

@@ -14,8 +14,10 @@
 // serve throughput ceiling — worker processes gain nothing because their
 // fsyncs serialize on the same device write queue (workers_2 ≈ workers_1
 // in BENCH_serve.json history).  Grouped commit amortizes that fsync over
-// group-cells, so it both lifts single-worker throughput and restores
-// worker scaling.
+// group-cells, which lifts single-worker throughput about 1.5× in the
+// committed snapshot.  It does not restore worker scaling there: grouped
+// runs 2,242, 2,340 and 2,202 cells/s at 1, 2 and 4 workers, so on this
+// tiny-cell job more workers buy nothing in either mode.
 //
 // `--json=FILE` snapshots the numbers for BENCH_serve.json.
 

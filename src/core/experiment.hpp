@@ -287,8 +287,8 @@ struct ExperimentResult {
     const std::vector<StrategyFactory>& strategies,
     const ExperimentConfig& config);
 
-/// What merging N shard checkpoint files produced (tools/accu_merge and
-/// the `accu merge` subcommand; callable directly for tests).
+/// What merging N shard checkpoint files produced (the `accu merge`
+/// subcommand; callable directly for tests).
 struct ShardMergeOutcome {
   /// Aggregates replayed through TraceAggregator::add in fixed task order
   /// — bit-identical to an unsharded sequential sweep when every cell of

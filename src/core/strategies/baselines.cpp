@@ -25,13 +25,20 @@ NodeId RandomStrategy::select(const AttackerView& view, util::Rng& rng) {
 void StaticOrderStrategy::reset(const AccuInstance& instance,
                                 util::Rng& rng) {
   (void)rng;
+  cursor_ = 0;
+  if (order_uid_ == instance.uid() && order_.size() == instance.num_nodes()) {
+    return;
+  }
+  // Drop the key before touching order_: a throwing scores() must not leave
+  // a half-built order that a later reset on the old instance would reuse.
+  order_uid_ = 0;
   const std::vector<double> score = scores(instance);
   ACCU_ASSERT(score.size() == instance.num_nodes());
   order_.resize(instance.num_nodes());
   std::iota(order_.begin(), order_.end(), NodeId{0});
   std::stable_sort(order_.begin(), order_.end(),
                    [&](NodeId a, NodeId b) { return score[a] > score[b]; });
-  cursor_ = 0;
+  order_uid_ = instance.uid();
 }
 
 NodeId StaticOrderStrategy::select(const AttackerView& view, util::Rng& rng) {

@@ -9,10 +9,18 @@
 //     over many runs; the experiment harness does the same).
 //
 // MaxDegree and PageRank are static orders: their information never changes
-// with observations, which is exactly why ABM beats them in the paper.
+// with observations, which is exactly why ABM beats them in the paper.  The
+// order depends on the instance alone, so each strategy object builds it once
+// per instance and keeps it: reset() reruns scores() and the sort only when
+// the instance's AccuInstance::uid (or node count) differs from the one the
+// kept order was built for, and otherwise just rewinds the cursor.  A sweep
+// worker holds its strategies for the whole sweep, so a reused instance costs
+// one build per worker, not one per cell.  The memo is per object and
+// unsynchronized, like the rest of a strategy's state.
 
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/simulator.hpp"
@@ -40,12 +48,17 @@ class StaticOrderStrategy : public Strategy {
 
  protected:
   /// Per-node score; higher is requested earlier.  Ties break by node id.
+  /// Must depend on the instance's contents only: reset() calls it once per
+  /// distinct instance uid and reuses the resulting order.
   [[nodiscard]] virtual std::vector<double> scores(
       const AccuInstance& instance) const = 0;
 
  private:
   std::vector<NodeId> order_;
   std::size_t cursor_ = 0;
+  // AccuInstance::uid order_ was built for; 0 (never a live uid) when none.
+  // Written only after the build completes.
+  std::uint64_t order_uid_ = 0;
 };
 
 class MaxDegreeStrategy final : public StaticOrderStrategy {

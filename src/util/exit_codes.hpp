@@ -1,7 +1,6 @@
-// Process exit codes shared by every accu binary (accu, accu_merge, the
-// serve daemon and its workers).  One table instead of scattered magic
-// numbers, so shell scripts — tools/ci.sh above all — can branch on a
-// stable contract:
+// Process exit codes shared by every accu binary (accu, the serve daemon
+// and its workers).  One table instead of scattered magic numbers, so
+// shell scripts — tools/ci.sh above all — can branch on a stable contract:
 //
 //   0    success
 //   1    unhandled error (exception reached main)

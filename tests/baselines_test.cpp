@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/strategies/baselines.hpp"
 #include "graph/generators.hpp"
 
@@ -102,6 +104,62 @@ TEST(RandomTest, DeterministicGivenRngStream) {
   for (std::size_t i = 0; i < a.trace.size(); ++i) {
     EXPECT_EQ(a.trace[i].target, b.trace[i].target);
   }
+}
+
+/// Expected-degree order that counts how often the base class asks for
+/// scores, and can be told to fail mid-build.
+class CountingOrderStrategy final : public StaticOrderStrategy {
+ public:
+  [[nodiscard]] std::string name() const override { return "Counting"; }
+  mutable int score_calls = 0;
+  bool fail_next = false;
+
+ protected:
+  [[nodiscard]] std::vector<double> scores(
+      const AccuInstance& instance) const override {
+    ++score_calls;
+    if (fail_next) throw std::runtime_error("scores failed");
+    std::vector<double> score(instance.num_nodes());
+    for (NodeId v = 0; v < instance.num_nodes(); ++v) {
+      score[v] = instance.graph().expected_degree(v);
+    }
+    return score;
+  }
+};
+
+TEST(StaticOrderTest, BuildsOncePerDistinctInstance) {
+  const AccuInstance a = star_instance();
+  const AccuInstance b = star_instance();  // same contents, new uid
+  const AccuInstance a_copy = a;           // copies carry the uid
+  ASSERT_NE(a.uid(), b.uid());
+  ASSERT_EQ(a.uid(), a_copy.uid());
+  CountingOrderStrategy strategy;
+  util::Rng rng(5);
+  strategy.reset(a, rng);
+  EXPECT_EQ(strategy.score_calls, 1);
+  strategy.reset(a, rng);
+  strategy.reset(a_copy, rng);
+  EXPECT_EQ(strategy.score_calls, 1);  // same uid: rewind only
+  strategy.reset(b, rng);
+  EXPECT_EQ(strategy.score_calls, 2);
+  strategy.reset(b, rng);
+  EXPECT_EQ(strategy.score_calls, 2);
+}
+
+TEST(StaticOrderTest, FailedBuildLeavesNoStaleHit) {
+  const AccuInstance a = star_instance();
+  const AccuInstance b = star_instance();
+  CountingOrderStrategy strategy;
+  util::Rng rng(7);
+  strategy.reset(a, rng);
+  strategy.fail_next = true;
+  EXPECT_THROW(strategy.reset(b, rng), std::runtime_error);
+  EXPECT_THROW(strategy.reset(a, rng), std::runtime_error);  // rebuilds
+  strategy.fail_next = false;
+  strategy.reset(a, rng);
+  EXPECT_EQ(strategy.score_calls, 4);
+  strategy.reset(a, rng);
+  EXPECT_EQ(strategy.score_calls, 4);
 }
 
 }  // namespace

@@ -14,8 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,21 +28,15 @@
 #include "util/error.hpp"
 #include "util/exit_codes.hpp"
 #include "util/io_env.hpp"
+#include "test_paths.hpp"
 
 #ifdef ACCU_HAVE_POSIX_IO
 
 namespace accu {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string fresh_dir(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
-  std::error_code ec;
-  fs::remove_all(path, ec);
-  fs::create_directories(path);
-  return path;
-}
+using test::fresh_dir;
+using test::temp_path;
 
 InstanceFactory tiny_factory() {
   return [](std::uint32_t sample, std::uint64_t seed) {
@@ -180,7 +172,7 @@ std::string served_report(const std::string& job_dir) {
 
 void enumerate_served(const char* durability) {
   const std::string instance_path =
-      testing::TempDir() + "crashpoint_instance.accu";
+      temp_path("crashpoint_instance.accu");
   {
     util::Rng rng(3);
     datasets::DatasetConfig config;
@@ -293,7 +285,7 @@ TEST(CrashPointTest, FsyncFailureFailsStopWithDedicatedCodeAndResumes) {
 
 TEST(CrashPointTest, ServedShardMapsIoFailuresToDedicatedExitCodes) {
   const std::string instance_path =
-      testing::TempDir() + "crashpoint_codes_instance.accu";
+      temp_path("crashpoint_codes_instance.accu");
   {
     util::Rng rng(3);
     datasets::DatasetConfig config;

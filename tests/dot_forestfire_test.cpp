@@ -11,9 +11,12 @@
 #include "graph/dot.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "test_paths.hpp"
 
 namespace accu::graph {
 namespace {
+
+using test::temp_path;
 
 Graph triangle() {
   GraphBuilder b(3);
@@ -55,7 +58,7 @@ TEST(DotTest, ProbabilitiesAndAttributes) {
 }
 
 TEST(DotTest, FileWriteAndMissingDirectory) {
-  const std::string path = testing::TempDir() + "accu_dot_test.dot";
+  const std::string path = temp_path("accu_dot_test.dot");
   write_dot_file(triangle(), path);
   std::ifstream is(path);
   EXPECT_TRUE(is.good());

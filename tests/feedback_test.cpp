@@ -23,7 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -41,9 +40,12 @@
 #include "core/strategies/retrying.hpp"
 #include "core/theory/estimator.hpp"
 #include "datasets/datasets.hpp"
+#include "test_paths.hpp"
 
 namespace accu {
 namespace {
+
+using test::temp_path;
 
 // ---------------------------------------------------------------------------
 // Reference implementation: the pre-feedback-refactor reliable loop, copied
@@ -612,12 +614,6 @@ ExperimentConfig feedback_config() {
   config.seed = 31;
   config.feedback = FeedbackModel{FeedbackKind::kBatched, 4};
   return config;
-}
-
-std::string temp_path(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
 }
 
 std::string read_file(const std::string& path) {

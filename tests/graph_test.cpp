@@ -8,9 +8,12 @@
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
+#include "test_paths.hpp"
 
 namespace accu::graph {
 namespace {
+
+using test::temp_path;
 
 Graph triangle_plus_tail() {
   // 0-1-2 triangle, 2-3 tail, isolated 4.
@@ -273,7 +276,7 @@ TEST(IoTest, RejectsEndpointBeyondDeclaredCount) {
 
 TEST(IoTest, FileRoundTrip) {
   const Graph g = triangle_plus_tail();
-  const std::string path = testing::TempDir() + "accu_io_test.edges";
+  const std::string path = temp_path("accu_io_test.edges");
   write_edge_list_file(g, path);
   const Graph back = read_edge_list_file(path);
   EXPECT_EQ(back.num_nodes(), g.num_nodes());

@@ -9,9 +9,12 @@
 #include "datasets/datasets.hpp"
 #include "util/error.hpp"
 #include "util/io_env.hpp"
+#include "test_paths.hpp"
 
 namespace accu {
 namespace {
+
+using test::temp_path;
 
 void expect_same_instance(const AccuInstance& a, const AccuInstance& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
@@ -76,7 +79,7 @@ TEST(InstanceIoTest, FileRoundTrip) {
   config.num_cautious = 5;
   const AccuInstance original =
       datasets::make_dataset("twitter", config, rng);
-  const std::string path = testing::TempDir() + "accu_instance_test.accu";
+  const std::string path = temp_path("accu_instance_test.accu");
   write_instance_file(original, path);
   const AccuInstance loaded = read_instance_file(path);
   expect_same_instance(original, loaded);
@@ -327,7 +330,7 @@ AccuInstance small_instance(std::uint64_t seed) {
 }
 
 TEST(InstanceIoTest, EnospcDuringWriteLeavesThePreviousFileIntact) {
-  const std::string path = testing::TempDir() + "accu_instance_enospc.accu";
+  const std::string path = temp_path("accu_instance_enospc.accu");
   const AccuInstance first = small_instance(3);
   write_instance_file(first, path);
   {
@@ -343,7 +346,7 @@ TEST(InstanceIoTest, EnospcDuringWriteLeavesThePreviousFileIntact) {
 }
 
 TEST(InstanceIoTest, ShortWritesStillProduceACompleteFile) {
-  const std::string path = testing::TempDir() + "accu_instance_short.accu";
+  const std::string path = temp_path("accu_instance_short.accu");
   const AccuInstance original = small_instance(5);
   util::FaultyFs faulty;
   util::ScopedIoEnv scoped(faulty);
@@ -353,7 +356,7 @@ TEST(InstanceIoTest, ShortWritesStillProduceACompleteFile) {
 }
 
 TEST(InstanceIoTest, FsyncFailureDuringWriteSurfacesAsSyncLost) {
-  const std::string path = testing::TempDir() + "accu_instance_sync.accu";
+  const std::string path = temp_path("accu_instance_sync.accu");
   const AccuInstance first = small_instance(6);
   write_instance_file(first, path);
   {

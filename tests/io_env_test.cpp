@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -15,17 +14,14 @@
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
 #include "util/io_env.hpp"
+#include "test_paths.hpp"
 
 #ifdef ACCU_HAVE_POSIX_IO
 
 namespace accu::util {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
-}
+using test::temp_path;
 
 std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);

@@ -14,9 +14,12 @@
 #include "core/strategies/baselines.hpp"
 #include "datasets/datasets.hpp"
 #include "graph/generators.hpp"
+#include "test_paths.hpp"
 
 namespace accu {
 namespace {
+
+using test::temp_path;
 
 ExperimentResult small_result(ExperimentConfig& config) {
   const InstanceFactory factory = [](std::uint32_t, std::uint64_t seed) {
@@ -188,7 +191,7 @@ TEST(MarkdownReportTest, EnospcOnTheDurableReportPathLeavesTheOldReport) {
   write_markdown_report(result, config, os);
   const std::string rendered = os.str();
 
-  const std::string path = testing::TempDir() + "report_enospc_test.md";
+  const std::string path = temp_path("report_enospc_test.md");
   util::write_file_atomic(path, "previous report\n");
   {
     util::FaultyFs faulty;

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,6 +21,7 @@
 #include "core/experiment.hpp"
 #include "core/strategies/baselines.hpp"
 #include "datasets/datasets.hpp"
+#include "test_paths.hpp"
 
 // Written by the forked child's SIGTERM handler, polled by the watchdog —
 // the same arrangement the CLI uses.
@@ -31,6 +31,8 @@ extern "C" void resilience_stop_handler(int) { g_resilience_stop = 1; }
 
 namespace accu {
 namespace {
+
+using test::temp_path;
 
 /// Deterministic strategy that takes a configurable wall-clock time per
 /// request: scans node ids in order, sleeping before each selection.  It
@@ -81,12 +83,6 @@ std::vector<StrategyFactory> slow_roster(std::chrono::milliseconds delay) {
   return {{"SlowScan", [delay] {
              return std::make_unique<SlowScanStrategy>(delay);
            }}};
-}
-
-std::string temp_path(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
 }
 
 /// Exact equality of every aggregate — the resilience guarantee is

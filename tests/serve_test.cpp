@@ -31,9 +31,12 @@
 #include "util/error.hpp"
 #include "util/exit_codes.hpp"
 #include "util/lockfile.hpp"
+#include "test_paths.hpp"
 
 namespace accu::serve {
 namespace {
+
+using test::temp_path;
 
 // The forked child daemon in the lock test needs a SIGTERM-driven drain;
 // sig_atomic_t written from a handler is the only portable option.
@@ -42,13 +45,6 @@ void test_stop_handler(int) { g_test_stop = 1; }
 
 namespace fs = std::filesystem;
 namespace exit_code = util::exit_code;
-
-std::string temp_path(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
-  std::error_code ec;
-  fs::remove_all(path, ec);
-  return path;
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);

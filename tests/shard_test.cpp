@@ -13,7 +13,6 @@
 
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -24,9 +23,12 @@
 #include "core/strategies/abm.hpp"
 #include "core/strategies/baselines.hpp"
 #include "datasets/datasets.hpp"
+#include "test_paths.hpp"
 
 namespace accu {
 namespace {
+
+using test::temp_path;
 
 InstanceFactory tiny_factory() {
   return [](std::uint32_t sample, std::uint64_t seed) {
@@ -54,12 +56,6 @@ ExperimentConfig base_config() {
   config.faults = FaultConfig::uniform(0.2);
   config.retry = util::RetryPolicy::exponential_jitter(2);
   return config;
-}
-
-std::string temp_path(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
 }
 
 std::string read_file(const std::string& path) {

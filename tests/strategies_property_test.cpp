@@ -7,7 +7,9 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "core/strategies/abm.hpp"
 #include "core/strategies/baselines.hpp"
@@ -23,8 +25,8 @@ struct StrategyCase {
   std::function<std::unique_ptr<Strategy>()> make;
 };
 
-AccuInstance shared_instance() {
-  util::Rng rng(777);
+AccuInstance shared_instance(std::uint64_t seed = 777) {
+  util::Rng rng(seed);
   graph::GraphBuilder b = graph::holme_kim(70, 4, 0.4, rng);
   b.assign_uniform_probs(rng);
   const Graph g = b.build();
@@ -127,6 +129,47 @@ TEST_P(StrategyPropertyTest, FreshInstancePerSimulationIsReusable) {
   for (std::size_t i = 0; i < first.trace.size(); ++i) {
     EXPECT_EQ(first.trace[i].target, second.trace[i].target);
   }
+}
+
+std::vector<NodeId> targets_of(const AccuInstance& instance,
+                               Strategy& strategy) {
+  util::Rng rng(11);
+  const Realization truth = Realization::sample(instance, rng);
+  util::Rng srng(12);
+  const SimulationResult result =
+      simulate(instance, truth, strategy, 30, srng);
+  std::vector<NodeId> targets;
+  for (const RequestRecord& r : result.trace) targets.push_back(r.target);
+  return targets;
+}
+
+TEST_P(StrategyPropertyTest, InterleavedReuseMatchesFresh) {
+  // One strategy object walks A, B, a copy of A (same uid), then a new
+  // instance constructed in A's storage (same address, new uid).  Any state
+  // kept across resets — e.g. a memoized static order — must never leak
+  // from one instance into another's trace.
+  std::optional<AccuInstance> a(shared_instance(777));
+  const AccuInstance b = shared_instance(778);
+  ASSERT_EQ(a->num_nodes(), b.num_nodes());
+  const auto reused = GetParam().make();
+  const auto expect_fresh = [&](const AccuInstance& instance,
+                                const char* step) {
+    const auto fresh = GetParam().make();
+    EXPECT_EQ(targets_of(instance, *reused), targets_of(instance, *fresh))
+        << step;
+  };
+  expect_fresh(*a, "A");
+  expect_fresh(b, "B");
+  const AccuInstance a_copy = *a;
+  ASSERT_EQ(a_copy.uid(), a->uid());
+  expect_fresh(a_copy, "copy of A");
+  const AccuInstance* const storage = &*a;
+  a.reset();
+  a.emplace(shared_instance(779));
+  ASSERT_EQ(&*a, storage);
+  ASSERT_NE(a->uid(), a_copy.uid());
+  expect_fresh(*a, "new instance in A's storage");
+  expect_fresh(a_copy, "copy of A again");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -23,9 +22,12 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "test_paths.hpp"
 
 namespace accu::util {
 namespace {
+
+using test::temp_path;
 
 // ---------------------------------------------------------------- Rng ----
 
@@ -419,7 +421,7 @@ TEST(OptionsTest, UnknownOptionDetected) {
 }
 
 TEST(OptionsTest, ResponseFileSuppliesDefaults) {
-  const std::string path = testing::TempDir() + "accu_options_test.opts";
+  const std::string path = temp_path("accu_options_test.opts");
   {
     std::ofstream os(path);
     os << "# experiment defaults\n"
@@ -440,7 +442,7 @@ TEST(OptionsTest, ResponseFileErrors) {
   const char* argv[] = {"prog"};
   Options opts(1, argv);
   EXPECT_THROW(opts.load_defaults_file("/nonexistent/opts"), IoError);
-  const std::string path = testing::TempDir() + "accu_options_bad.opts";
+  const std::string path = temp_path("accu_options_bad.opts");
   {
     std::ofstream os(path);
     os << "=value\n";
@@ -614,12 +616,6 @@ TEST(Crc32Test, IncrementalChainingEqualsOneShot) {
 
 // ----------------------------------------------------------- atomic file ----
 
-std::string util_temp_path(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
-}
-
 std::string slurp(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   std::ostringstream out;
@@ -628,7 +624,7 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(AtomicFileTest, WriteFileAtomicCreatesAndReplaces) {
-  const std::string path = util_temp_path("accu_atomic.txt");
+  const std::string path = temp_path("accu_atomic.txt");
   write_file_atomic(path, "first\n");
   EXPECT_EQ(slurp(path), "first\n");
   write_file_atomic(path, "second, longer content\n");
@@ -636,7 +632,7 @@ TEST(AtomicFileTest, WriteFileAtomicCreatesAndReplaces) {
 }
 
 TEST(AtomicFileTest, TruncateFileDropsTheTail) {
-  const std::string path = util_temp_path("accu_truncate.txt");
+  const std::string path = temp_path("accu_truncate.txt");
   write_file_atomic(path, "keep this|drop this");
   truncate_file(path, 9);
   EXPECT_EQ(slurp(path), "keep this");
@@ -647,15 +643,14 @@ TEST(AtomicFileTest, FsyncDirFlushesARealDirectory) {
   // directory and report (not throw) failure on a bogus path, since every
   // caller treats directory fsync as best effort.
   EXPECT_TRUE(fsync_dir(testing::TempDir()));
-  EXPECT_FALSE(fsync_dir(testing::TempDir() + "no_such_dir_accu"));
+  EXPECT_FALSE(fsync_dir(temp_path("no_such_dir_accu")));
 }
 
 TEST(AtomicFileTest, FsyncParentDirResolvesTheContainingDirectory) {
-  const std::string path = util_temp_path("accu_parent_sync.txt");
+  const std::string path = temp_path("accu_parent_sync.txt");
   write_file_atomic(path, "x");
   EXPECT_TRUE(fsync_parent_dir(path));
-  EXPECT_FALSE(fsync_parent_dir(testing::TempDir() +
-                                "no_such_dir_accu/file.txt"));
+  EXPECT_FALSE(fsync_parent_dir(temp_path("no_such_dir_accu") + "/file.txt"));
   // A bare filename's parent is the working directory.
   EXPECT_TRUE(fsync_parent_dir("bare_name_without_slash"));
 }
@@ -663,7 +658,7 @@ TEST(AtomicFileTest, FsyncParentDirResolvesTheContainingDirectory) {
 TEST(DurableAppenderTest, CreatingAnAppendFileSyncsItsDirectory) {
   // A journal created by open() must be findable after a power loss: the
   // open fsyncs the parent directory, not just (later) the file bytes.
-  const std::string path = util_temp_path("accu_append_create.txt");
+  const std::string path = temp_path("accu_append_create.txt");
   DurableAppender out;
   out.open(path);
   ASSERT_TRUE(out.is_open());
@@ -674,7 +669,7 @@ TEST(DurableAppenderTest, CreatingAnAppendFileSyncsItsDirectory) {
 }
 
 TEST(DurableAppenderTest, AppendsSyncsAndReportsSize) {
-  const std::string path = util_temp_path("accu_append.txt");
+  const std::string path = temp_path("accu_append.txt");
   DurableAppender out;
   EXPECT_FALSE(out.is_open());
   out.open(path);
@@ -697,7 +692,7 @@ TEST(DurableAppenderTest, AppendsSyncsAndReportsSize) {
 // ------------------------------------------------------------- pid lock ----
 
 TEST(PidFileTest, AcquireRecordsPidAndExcludesSecondHolder) {
-  const std::string path = util_temp_path("accu_pidfile.lock");
+  const std::string path = temp_path("accu_pidfile.lock");
   PidFile first;
   ASSERT_TRUE(first.try_acquire(path));
   EXPECT_TRUE(first.held());
@@ -715,7 +710,7 @@ TEST(PidFileTest, AcquireRecordsPidAndExcludesSecondHolder) {
 }
 
 TEST(PidFileTest, ReadPidOnMissingOrGarbageFileIsZero) {
-  const std::string path = util_temp_path("accu_pidfile_garbage.lock");
+  const std::string path = temp_path("accu_pidfile_garbage.lock");
   EXPECT_EQ(PidFile::read_pid(path), 0);
   write_file_atomic(path, "not a pid\n");
   EXPECT_EQ(PidFile::read_pid(path), 0);

@@ -6,7 +6,7 @@
 #   3. engine gate                      — the engine-equivalence suite under
 #      ASan + the micro_core allocations-per-cell ceiling
 #   4. shard round-trip                 — a sweep split into three shard
-#      processes (one SIGKILLed mid-run and resumed) merged with accu_merge
+#      processes (one SIGKILLed mid-run and resumed) merged with `accu merge`
 #      must reproduce the unsharded report byte-for-byte
 #   5. pack round-trip                  — `accu pack` converts a generated
 #      instance to the binary .accui format; the mmap-loaded sweep report
@@ -34,6 +34,9 @@
 #  11. scalar-only build                — ACCU_SCALAR_ONLY=ON compiles the
 #      vector TUs out entirely, keeping the portable fallback a
 #      first-class build instead of dead code on vector hosts
+#  12. perfbench self-test              — `perfbench/run.py --selftest`:
+#      traced and untraced benchmark reports are byte-identical, and the
+#      timing decorator still forwards adopt_score_pack to the strategy
 #
 # Every ctest run carries --timeout 300 so a hung test (deadlocked pool,
 # stuck watchdog) fails the stage instead of wedging CI.
@@ -119,7 +122,7 @@ sleep 0.05
 kill -9 "${VICTIM}" 2> /dev/null || true
 wait "${VICTIM}" 2> /dev/null || true
 "${SWEEP[@]}" --shard=1/3 "--resume=${RT}/shard1.ckpt" > /dev/null
-./build-ci/tools/accu_merge "--out=${RT}/merged.ckpt" \
+./build-ci/tools/accu merge "--out=${RT}/merged.ckpt" \
   "--report=${RT}/merged.md" "${RT}"/shard*.ckpt > /dev/null
 diff <(tail -n +2 "${RT}/reference.md") <(tail -n +2 "${RT}/merged.md") || {
   echo "FAIL: merged shard report differs from the unsharded reference" >&2
@@ -276,5 +279,9 @@ cmake -B build-ci-scalar -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-ci-scalar -j "${JOBS}"
 ctest --test-dir build-ci-scalar --output-on-failure -j "${JOBS}" \
   --timeout 300
+
+echo "=== perfbench self-test ==="
+# About a second once built: the benchmark's probes must change nothing.
+python3 perfbench/run.py --selftest
 
 echo "=== CI OK ==="
