@@ -2,31 +2,29 @@
 
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <exception>
-#include <fstream>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <sstream>
+#include <system_error>
 #include <thread>
 
+#include "core/checkpoint.hpp"
 #include "core/engine.hpp"
 #include "core/strategies/retrying.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cancel.hpp"
-#include "util/crc32.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace accu {
 
-void TraceAggregator::add(const SimulationResult& result,
-                          std::uint32_t budget) {
+void TraceAggregator::add(std::span<const RequestRecord> trace,
+                          const RunTotals& totals, std::uint32_t budget) {
   double running = 0.0;
-  for (std::size_t i = 0; i < result.trace.size(); ++i) {
-    const RequestRecord& record = result.trace[i];
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const RequestRecord& record = trace[i];
     running = record.benefit_after;
     cumulative_benefit_.add_at(i, running);
     marginal_.add_at(i, record.marginal());
@@ -44,20 +42,20 @@ void TraceAggregator::add(const SimulationResult& result,
   // policies over the same horizon.  Suspension-stalled rounds are *not*
   // padding: they sit inside the trace as explicit zero-marginal records,
   // so their indices keep one sample per run like every other round.
-  for (std::size_t i = result.trace.size(); i < budget; ++i) {
+  for (std::size_t i = trace.size(); i < budget; ++i) {
     cumulative_benefit_.add_at(i, running);
     marginal_.add_at(i, 0.0);
     marginal_cautious_.add_at(i, 0.0);
     marginal_reckless_.add_at(i, 0.0);
     cautious_fraction_.add_at(i, 0.0);
   }
-  total_benefit_.add(result.total_benefit);
-  cautious_friends_.add(result.num_cautious_friends);
-  accepted_.add(result.num_accepted);
-  faulted_.add(result.num_faulted);
-  retries_.add(result.num_retries);
-  suspended_.add(result.rounds_suspended);
-  abandoned_.add(result.num_abandoned);
+  total_benefit_.add(totals.benefit);
+  cautious_friends_.add(totals.cautious_friends);
+  accepted_.add(totals.accepted);
+  faulted_.add(totals.faulted);
+  retries_.add(totals.retries);
+  suspended_.add(totals.suspended);
+  abandoned_.add(totals.abandoned);
 }
 
 void TraceAggregator::merge(const TraceAggregator& other) {
@@ -73,6 +71,16 @@ void TraceAggregator::merge(const TraceAggregator& other) {
   retries_.merge(other.retries_);
   suspended_.merge(other.suspended_);
   abandoned_.merge(other.abandoned_);
+}
+
+void TraceAggregator::clear() noexcept {
+  cumulative_benefit_.clear();
+  marginal_.clear();
+  marginal_cautious_.clear();
+  marginal_reckless_.clear();
+  cautious_fraction_.clear();
+  total_benefit_ = cautious_friends_ = accepted_ = faulted_ = retries_ =
+      suspended_ = abandoned_ = util::RunningStat();
 }
 
 const char* cell_failure_kind_name(CellFailure::Kind kind) noexcept {
@@ -142,462 +150,6 @@ constexpr std::uint64_t kRetryStreamSalt = 0x5e77bacc0ff5e7ULL;
 // `a` > 0 re-derives policy/fault/retry streams from this base while the
 // ground-truth stream stays untouched (the paired design survives).
 constexpr std::uint64_t kCellRetrySalt = 0xdead11e0dead11e0ULL;
-
-// ---------------------------------------------------------------------------
-// Checkpointing.  Line-oriented, mirroring the instance-io format:
-//
-//   # accu-checkpoint v2
-//   sweep seed <u64> samples <S> runs <R> budget <k> strategies <n>
-//   faults <drop> <timeout> <transient> <ratelimit> <w> retry <kind> <max>
-//       <base> <cap>                                       (one line)
-//   shard <i> <n>                              (optional; absent = 0 1)
-//   name <i> <strategy name>                               (n lines)
-//   begin <task>
-//   t <s> <target> <accepted> <cautious> <fault> <attempt> <benefit_after>
-//   m <s> <num_abandoned>
-//   end <task>
-//   crc <task> <crc32-hex>
-//
-// One `begin..crc` block per completed (sample, run) cell.  The header is
-// written atomically (temp file + fsync + rename); each block is appended
-// and fsynced as its cell finishes, so a crash loses at most the in-flight
-// cell.  The `crc` trailer covers every byte from `begin` through the
-// `end` line: the loader recomputes it and truncates the file at the last
-// block that verifies, so a torn or bit-flipped tail costs one cell, not
-// the run.  Doubles round-trip exactly (%.17g) and blocks replay through
-// TraceAggregator::add in fixed task order, so a resumed sweep's
-// aggregates are bit-identical to an uninterrupted one.  v1 files (no CRC
-// trailers) are still readable; resuming one rewrites it as v2.
-//
-// Task indices in `begin`/`end`/`crc` lines are *global* grid indices
-// (sample * runs + run) even in a shard's file, so shard files from
-// independent machines line up for the merge tool without translation.
-// The `shard` line pins the file to one ExperimentConfig shard identity:
-// resume rejects a mismatch, while merge accepts any mix of identities
-// (it deduplicates by task).  Files written before sharding existed lack
-// the line and read as the unsharded 0/1.
-// ---------------------------------------------------------------------------
-
-struct CheckpointFingerprint {
-  std::uint64_t seed = 0;
-  std::uint32_t samples = 0;
-  std::uint32_t runs = 0;
-  std::uint32_t budget = 0;
-  std::uint32_t shard_index = 0;
-  std::uint32_t shard_count = 1;
-  std::vector<std::string> names;
-  FaultConfig faults{};
-  util::RetryPolicy retry{};
-  FeedbackModel feedback{};
-};
-
-CheckpointFingerprint fingerprint_of(const ExperimentConfig& config,
-                                     const std::vector<std::string>& names) {
-  CheckpointFingerprint fp;
-  fp.seed = config.seed;
-  fp.samples = config.samples;
-  fp.runs = config.runs;
-  fp.budget = config.budget;
-  fp.shard_index = config.shard_index;
-  fp.shard_count = config.shard_count;
-  fp.names = names;
-  fp.faults = config.faults;
-  fp.retry = config.retry;
-  fp.feedback = config.feedback;
-  return fp;
-}
-
-std::string checkpoint_header(const CheckpointFingerprint& fp) {
-  std::ostringstream os;
-  os << "# accu-checkpoint v2\n";
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "sweep seed %" PRIu64
-                " samples %u runs %u budget %u strategies %zu\n",
-                fp.seed, fp.samples, fp.runs, fp.budget, fp.names.size());
-  os << buf;
-  std::snprintf(buf, sizeof buf,
-                "faults %.17g %.17g %.17g %.17g %u retry %u %u %u %u\n",
-                fp.faults.drop_rate, fp.faults.timeout_rate,
-                fp.faults.transient_rate, fp.faults.rate_limit_rate,
-                fp.faults.suspension_rounds,
-                static_cast<unsigned>(fp.retry.kind), fp.retry.max_retries,
-                fp.retry.base_delay, fp.retry.max_delay);
-  os << buf;
-  os << "shard " << fp.shard_index << ' ' << fp.shard_count << '\n';
-  // The feedback line is written only for non-full models so every
-  // checkpoint file a full-feedback sweep writes stays byte-identical to
-  // the pre-feedback-axis format (and old files read as full).
-  if (!fp.feedback.is_full()) {
-    os << "feedback " << fp.feedback.spec() << '\n';
-  }
-  for (std::size_t i = 0; i < fp.names.size(); ++i) {
-    os << "name " << i << ' ' << fp.names[i] << '\n';
-  }
-  return os.str();
-}
-
-[[noreturn]] void checkpoint_mismatch(const std::string& path,
-                                      const std::string& what) {
-  throw IoError("checkpoint " + path +
-                " does not match this experiment (" + what +
-                "); delete it or pick another path to start fresh");
-}
-
-/// Throws checkpoint_mismatch unless `parsed` names the same experiment as
-/// `expected`.  Shard identity participates only when `check_shard` — a
-/// resume must continue the exact shard, while the merge tool accepts any
-/// mix of shard identities over the same sweep.
-void check_fingerprint(const std::string& path,
-                       const CheckpointFingerprint& parsed,
-                       const CheckpointFingerprint& expected,
-                       bool check_shard) {
-  if (parsed.seed != expected.seed || parsed.samples != expected.samples ||
-      parsed.runs != expected.runs || parsed.budget != expected.budget ||
-      parsed.names.size() != expected.names.size()) {
-    checkpoint_mismatch(path, "different sweep shape or seed");
-  }
-  const FaultConfig& f = expected.faults;
-  const util::RetryPolicy& r = expected.retry;
-  if (parsed.faults.drop_rate != f.drop_rate ||
-      parsed.faults.timeout_rate != f.timeout_rate ||
-      parsed.faults.transient_rate != f.transient_rate ||
-      parsed.faults.rate_limit_rate != f.rate_limit_rate ||
-      parsed.faults.suspension_rounds != f.suspension_rounds ||
-      parsed.retry.kind != r.kind ||
-      parsed.retry.max_retries != r.max_retries ||
-      parsed.retry.base_delay != r.base_delay ||
-      parsed.retry.max_delay != r.max_delay) {
-    checkpoint_mismatch(path, "different fault or retry configuration");
-  }
-  if (parsed.feedback != expected.feedback) {
-    checkpoint_mismatch(path, "different feedback model");
-  }
-  if (parsed.names != expected.names) {
-    checkpoint_mismatch(path, "different strategy roster");
-  }
-  if (check_shard && (parsed.shard_index != expected.shard_index ||
-                      parsed.shard_count != expected.shard_count)) {
-    checkpoint_mismatch(path, "different shard identity");
-  }
-}
-
-/// Serializes one completed cell as a v2 block, CRC trailer included.
-std::string serialize_cell(std::size_t task,
-                           const std::vector<SimulationResult>& outcomes) {
-  std::ostringstream block;
-  block << "begin " << task << '\n';
-  char buf[192];
-  for (std::size_t s = 0; s < outcomes.size(); ++s) {
-    for (const RequestRecord& r : outcomes[s].trace) {
-      std::snprintf(buf, sizeof buf, "t %zu %u %d %d %u %u %.17g\n", s,
-                    r.target, r.accepted ? 1 : 0, r.cautious_target ? 1 : 0,
-                    static_cast<unsigned>(r.fault), r.attempt,
-                    r.benefit_after);
-      block << buf;
-    }
-    block << "m " << s << ' ' << outcomes[s].num_abandoned << '\n';
-  }
-  block << "end " << task << '\n';
-  std::string text = block.str();
-  std::snprintf(buf, sizeof buf, "crc %zu %08x\n", task,
-                util::crc32(text));
-  text += buf;
-  return text;
-}
-
-/// Rebuilds a SimulationResult from checkpointed trace lines.  Only the
-/// fields TraceAggregator::add consumes are populated.
-SimulationResult replay_result(const std::vector<RequestRecord>& trace,
-                               std::uint32_t num_abandoned) {
-  SimulationResult result;
-  result.trace = trace;
-  result.num_abandoned = num_abandoned;
-  for (const RequestRecord& r : result.trace) {
-    if (r.accepted) {
-      ++result.num_accepted;
-      if (r.cautious_target) ++result.num_cautious_friends;
-    }
-    if (r.fault == FaultKind::kSuspensionStall) {
-      ++result.rounds_suspended;
-    } else if (r.fault != FaultKind::kNone) {
-      ++result.num_faulted;
-    }
-    if (r.attempt > 0) ++result.num_retries;
-  }
-  if (!result.trace.empty()) {
-    result.total_benefit = result.trace.back().benefit_after;
-  }
-  return result;
-}
-
-struct LoadedCheckpoint {
-  std::size_t restored = 0;    ///< unique completed cells in the file
-  int version = 2;             ///< on-disk format version
-  std::uint64_t valid_end = 0; ///< byte offset after the last valid block
-  std::uint64_t file_size = 0;
-  /// For v1 files: the valid blocks re-serialized as v2 (used to upgrade
-  /// the file in place before appending v2 blocks to it).
-  std::string upgraded;
-};
-
-/// Receives each unique completed cell of a checkpoint file, in file
-/// order.  `outcomes` holds one replayed SimulationResult per strategy.
-using CellSink =
-    std::function<void(std::size_t task,
-                       std::vector<SimulationResult>&& outcomes)>;
-
-/// Streams an existing checkpoint: parses the header into `parsed`, calls
-/// `check_header` (which may throw to reject the file — at that point
-/// `parsed` is complete), then hands every unique valid cell block to
-/// `on_cell`.  A torn, malformed, or CRC-failing tail is dropped with a
-/// warning (the affected cells simply re-run or count as missing) and
-/// `valid_end` tells the caller where to truncate before appending.
-LoadedCheckpoint load_checkpoint(const std::string& path,
-                                 CheckpointFingerprint& parsed,
-                                 const std::function<void()>& check_header,
-                                 const CellSink& on_cell) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw IoError("cannot open checkpoint for reading: " + path);
-  LoadedCheckpoint loaded;
-  is.seekg(0, std::ios::end);
-  loaded.file_size = static_cast<std::uint64_t>(is.tellg());
-  is.seekg(0, std::ios::beg);
-
-  std::string line;
-  std::uint64_t offset = 0;  // bytes consumed so far
-  // getline-based reader that tracks byte offsets exactly (tellg is
-  // unusable once eofbit sets on a file whose last line lacks a newline).
-  auto read_line = [&]() -> bool {
-    if (!std::getline(is, line)) return false;
-    offset += line.size() + (is.eof() ? 0u : 1u);
-    return true;
-  };
-
-  // Header region: the version magic plus the fixed stanzas.  Comment
-  // and blank lines are tolerated here only.
-  loaded.version = 1;
-  auto next_header_line = [&]() -> bool {
-    while (read_line()) {
-      if (line.rfind("# accu-checkpoint v", 0) == 0) {
-        loaded.version = std::atoi(line.c_str() + 19);
-        continue;
-      }
-      if (!line.empty() && line[0] != '#') return true;
-    }
-    return false;
-  };
-
-  // Sweep-shape line.
-  std::size_t nstrategies = 0;
-  {
-    if (!next_header_line()) {
-      throw IoError("checkpoint " + path + ": empty file");
-    }
-    std::istringstream ls(line);
-    std::string kw1, kw2, kw3, kw4, kw5, kw6;
-    if (!(ls >> kw1 >> kw2 >> parsed.seed >> kw3 >> parsed.samples >> kw4 >>
-          parsed.runs >> kw5 >> parsed.budget >> kw6 >> nstrategies) ||
-        kw1 != "sweep" || kw2 != "seed") {
-      throw IoError("checkpoint " + path + ": malformed sweep header");
-    }
-  }
-  // Fault/retry fingerprint line.
-  {
-    if (!next_header_line()) {
-      throw IoError("checkpoint " + path + ": missing faults line");
-    }
-    std::istringstream ls(line);
-    std::string kw1, kw2;
-    unsigned kind = 0;
-    if (!(ls >> kw1 >> parsed.faults.drop_rate >>
-          parsed.faults.timeout_rate >> parsed.faults.transient_rate >>
-          parsed.faults.rate_limit_rate >> parsed.faults.suspension_rounds >>
-          kw2 >> kind >> parsed.retry.max_retries >>
-          parsed.retry.base_delay >> parsed.retry.max_delay) ||
-        kw1 != "faults" || kw2 != "retry" ||
-        kind > static_cast<unsigned>(util::RetryKind::kExponentialJitter)) {
-      throw IoError("checkpoint " + path + ": malformed faults line");
-    }
-    parsed.retry.kind = static_cast<util::RetryKind>(kind);
-  }
-  // Optional shard-identity line (absent in pre-shard files: 0/1), then
-  // the strategy roster.
-  bool pending_line = false;  // `line` already holds the next header line
-  {
-    if (!next_header_line()) {
-      throw IoError("checkpoint " + path + ": missing strategy name line");
-    }
-    if (line.rfind("shard ", 0) == 0) {
-      std::istringstream ls(line);
-      std::string kw;
-      if (!(ls >> kw >> parsed.shard_index >> parsed.shard_count) ||
-          parsed.shard_count == 0 ||
-          parsed.shard_index >= parsed.shard_count) {
-        throw IoError("checkpoint " + path + ": malformed shard line");
-      }
-    } else {
-      parsed.shard_index = 0;
-      parsed.shard_count = 1;
-      pending_line = true;
-    }
-  }
-  // Optional feedback-model line (absent = full; full-feedback files never
-  // write it, so their bytes predate the feedback axis unchanged).
-  {
-    if (!pending_line && !next_header_line()) {
-      throw IoError("checkpoint " + path + ": missing strategy name line");
-    }
-    if (line.rfind("feedback ", 0) == 0) {
-      pending_line = false;
-      try {
-        parsed.feedback = FeedbackModel::parse(line.substr(9));
-      } catch (const InvalidArgument& e) {
-        throw IoError("checkpoint " + path + ": malformed feedback line (" +
-                      e.what() + ")");
-      }
-    } else {
-      parsed.feedback = FeedbackModel{};
-      pending_line = true;
-    }
-  }
-  parsed.names.resize(nstrategies);
-  for (std::size_t i = 0; i < nstrategies; ++i) {
-    if (!pending_line && !next_header_line()) {
-      throw IoError("checkpoint " + path + ": missing strategy name line");
-    }
-    pending_line = false;
-    std::istringstream ls(line);
-    std::string kw;
-    std::size_t index = 0;
-    if (!(ls >> kw >> index) || kw != "name" || index != i) {
-      throw IoError("checkpoint " + path + ": malformed strategy name line");
-    }
-    std::string name;
-    std::getline(ls, name);
-    if (!name.empty() && name.front() == ' ') name.erase(0, 1);
-    parsed.names[i] = name;
-  }
-  check_header();
-  const std::size_t tasks =
-      static_cast<std::size_t>(parsed.samples) * parsed.runs;
-  std::vector<bool> seen(tasks, false);
-  loaded.valid_end = offset;
-
-  // Cell blocks.  Any anomaly from here on — unknown tag, short block,
-  // missing `end`, CRC mismatch — marks a torn tail: everything from the
-  // last valid block re-runs (warning below, not an error).
-  std::string torn_reason;
-  while (read_line()) {
-    std::string block_text = line + '\n';  // CRC covers begin..end inclusive
-    std::istringstream header(line);
-    std::string kw;
-    std::size_t task = 0;
-    if (!(header >> kw >> task) || kw != "begin" || task >= tasks) {
-      torn_reason = "unexpected line where a cell block should begin";
-      break;
-    }
-    std::vector<std::vector<RequestRecord>> traces(nstrategies);
-    std::vector<std::uint32_t> abandoned(nstrategies, 0);
-    bool complete = false, malformed = false;
-    while (read_line()) {
-      block_text += line;
-      block_text += '\n';
-      if (line.rfind("end ", 0) == 0) {
-        std::istringstream ls(line);
-        std::string end_kw;
-        std::size_t end_task = 0;
-        complete = (ls >> end_kw >> end_task) && end_task == task;
-        break;
-      }
-      std::istringstream ls(line);
-      std::string tag;
-      ls >> tag;
-      if (tag == "t") {
-        std::size_t s = 0;
-        unsigned long target = 0;
-        int accepted = 0, cautious = 0;
-        unsigned fault = 0;
-        std::uint32_t attempt = 0;
-        double after = 0.0;
-        if (!(ls >> s >> target >> accepted >> cautious >> fault >> attempt >>
-              after) ||
-            s >= nstrategies ||
-            fault > static_cast<unsigned>(FaultKind::kSuspensionStall)) {
-          malformed = true;
-          break;
-        }
-        RequestRecord r;
-        r.target = static_cast<NodeId>(target);
-        r.accepted = accepted != 0;
-        r.cautious_target = cautious != 0;
-        r.fault = static_cast<FaultKind>(fault);
-        r.attempt = attempt;
-        r.benefit_before =
-            traces[s].empty() ? 0.0 : traces[s].back().benefit_after;
-        r.benefit_after = after;
-        traces[s].push_back(r);
-      } else if (tag == "m") {
-        std::size_t s = 0;
-        std::uint32_t count = 0;
-        if (!(ls >> s >> count) || s >= nstrategies) {
-          malformed = true;
-          break;
-        }
-        abandoned[s] = count;
-      } else {
-        malformed = true;
-        break;
-      }
-    }
-    if (!complete || malformed) {
-      torn_reason = "truncated or malformed cell block";
-      break;
-    }
-    if (loaded.version >= 2) {
-      // The CRC trailer must follow immediately and verify.
-      std::size_t crc_task = 0;
-      std::string crc_hex;
-      bool crc_ok = false;
-      if (read_line()) {
-        std::istringstream ls(line);
-        std::string crc_kw;
-        if ((ls >> crc_kw >> crc_task >> crc_hex) && crc_kw == "crc" &&
-            crc_task == task) {
-          char printed[16];
-          std::snprintf(printed, sizeof printed, "%08x",
-                        util::crc32(block_text));
-          crc_ok = crc_hex == printed;
-        }
-      }
-      if (!crc_ok) {
-        torn_reason = "cell block failed its CRC32 check";
-        break;
-      }
-    }
-    loaded.valid_end = offset;
-    if (seen[task]) continue;  // duplicate block: keep the first
-    std::vector<SimulationResult> outcomes(nstrategies);
-    for (std::size_t s = 0; s < nstrategies; ++s) {
-      outcomes[s] = replay_result(traces[s], abandoned[s]);
-    }
-    if (loaded.version < 2) {
-      loaded.upgraded += serialize_cell(task, outcomes);
-    }
-    seen[task] = true;
-    ++loaded.restored;
-    on_cell(task, std::move(outcomes));
-  }
-  if (!torn_reason.empty() || loaded.valid_end < loaded.file_size) {
-    util::log_warn(
-        "checkpoint %s: %s at byte %" PRIu64 " — dropping the tail "
-        "(%" PRIu64 " bytes); the affected cells will re-run",
-        path.c_str(),
-        torn_reason.empty() ? "trailing bytes" : torn_reason.c_str(),
-        loaded.valid_end, loaded.file_size - loaded.valid_end);
-  }
-  return loaded;
-}
 
 }  // namespace
 
@@ -678,49 +230,39 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
   // path), so a crash at any instant leaves a file the loader can resume
   // from — grouped merely widens the re-run window to the last uncommitted
   // group.
-  const CheckpointFingerprint fingerprint =
-      fingerprint_of(config, result.strategy_names);
+  const checkpoint::Fingerprint fingerprint =
+      checkpoint::fingerprint_of(config, result.strategy_names);
   util::GroupCommitAppender checkpoint_out;
   std::mutex checkpoint_mutex;
   if (!config.checkpoint_path.empty()) {
-    bool existing = false;
-    {
-      std::ifstream probe(config.checkpoint_path, std::ios::binary);
-      existing = probe.good() &&
-                 probe.peek() != std::ifstream::traits_type::eof();
-    }
+    std::error_code ec;
+    const std::uintmax_t size =
+        std::filesystem::file_size(config.checkpoint_path, ec);
+    const bool existing = !ec && size > 0;
     std::size_t restored = 0;
     if (existing) {
-      CheckpointFingerprint parsed;
-      LoadedCheckpoint loaded = load_checkpoint(
+      checkpoint::Fingerprint parsed;
+      const checkpoint::LoadResult loaded = checkpoint::load(
           config.checkpoint_path, parsed,
           [&] {
-            check_fingerprint(config.checkpoint_path, parsed, fingerprint,
-                              /*check_shard=*/true);
+            checkpoint::check_fingerprint(config.checkpoint_path, parsed,
+                                          fingerprint, /*check_shard=*/true);
           },
-          [&](std::size_t task, std::vector<SimulationResult>&& outcomes) {
-            if (done[task]) return;  // shard-foreign task: ignore
-            for (std::size_t s = 0; s < outcomes.size(); ++s) {
-              partials[task][s].add(outcomes[s], config.budget);
+          [&](const checkpoint::Cell& cell) {
+            if (done[cell.task]) return;  // shard-foreign task: ignore
+            for (std::size_t s = 0; s < strategies.size(); ++s) {
+              partials[cell.task][s].add(cell.trace(s), cell.totals(s),
+                                         config.budget);
             }
-            done[task] = true;
+            done[cell.task] = true;
             ++restored;
           });
-      if (loaded.version < 2) {
-        // Upgrade in place: the same cells, re-serialized with CRC
-        // trailers under a v2 header, swapped in atomically so appended
-        // v2 blocks never share a file with an uncrc'd v1 body.
-        util::write_file_atomic(config.checkpoint_path,
-                                checkpoint_header(fingerprint) +
-                                    loaded.upgraded);
-        util::log_info("checkpoint %s: upgraded v1 file to v2 (%zu cells)",
-                       config.checkpoint_path.c_str(), restored);
-      } else if (loaded.valid_end < loaded.file_size) {
+      if (loaded.valid_end < loaded.file_size) {
         util::truncate_file(config.checkpoint_path, loaded.valid_end);
       }
     } else {
       util::write_file_atomic(config.checkpoint_path,
-                              checkpoint_header(fingerprint));
+                              checkpoint::header(fingerprint));
     }
     checkpoint_out.open(config.checkpoint_path, config.durability);
     if (config.durability.mode == util::DurabilityPolicy::Mode::kGrouped) {
@@ -806,6 +348,7 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
     std::vector<std::unique_ptr<Strategy>> strategies;
     std::vector<RetryingStrategy*> retrying;  // non-null when wrapped
     std::vector<SimulationResult> outcomes;
+    std::string block;  // checkpoint bytes of the worker's last cell
   };
   std::vector<WorkerState> worker_states(workers);
   std::uint32_t cell_threads = config.cell_threads;
@@ -952,9 +495,9 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
       // sweep and rethrows after the drain.
       if (cell_done) {
         if (checkpoint_out.is_open()) {
-          const std::string block = serialize_cell(task, worker.outcomes);
+          checkpoint::serialize_cell(task, worker.outcomes, worker.block);
           const std::lock_guard<std::mutex> lock(checkpoint_mutex);
-          checkpoint_out.append_record(block);
+          checkpoint_out.append_record(worker.block);
         }
         report_progress(1, attempt_timer.milliseconds(),
                         /*restored_cells=*/false);
@@ -1096,48 +639,41 @@ ShardMergeOutcome merge_shard_checkpoints(
   }
   ShardMergeOutcome out;
   out.shard_cells.reserve(paths.size());
-  CheckpointFingerprint base;
+  checkpoint::Fingerprint base;
   bool have_base = false;
-  std::size_t tasks = 0;
-  // Per-task state, filled first-wins across the inputs: the re-serialized
-  // v2 block (for the merged output file) and the per-strategy partial
-  // aggregates — the same per-cell partials run_experiment builds, so the
-  // final task-major/strategy-minor merge below replays the exact
-  // TraceAggregator operation sequence of an unsharded sequential sweep.
-  std::vector<std::string> blocks;
-  std::vector<std::vector<TraceAggregator>> partials;
-  std::vector<bool> have;
-  for (const std::string& path : paths) {
-    CheckpointFingerprint parsed;
+  // Pass 1 verifies every input and records, per task, where the first
+  // valid copy of its block lives (first file wins; length 0 = missing).
+  struct BlockRef {
+    std::size_t file = 0;
+    std::uint64_t offset = 0;
+    std::uint64_t length = 0;
+  };
+  std::vector<BlockRef> blocks;
+  for (std::size_t file = 0; file < paths.size(); ++file) {
+    checkpoint::Fingerprint parsed;
     std::size_t cells_here = 0;
-    (void)load_checkpoint(
-        path, parsed,
+    (void)checkpoint::load(
+        paths[file], parsed,
         [&] {
           if (!have_base) {
             base = parsed;
             have_base = true;
-            tasks = static_cast<std::size_t>(base.samples) * base.runs;
-            blocks.assign(tasks, std::string());
-            partials.assign(
-                tasks, std::vector<TraceAggregator>(base.names.size()));
-            have.assign(tasks, false);
+            blocks.assign(base.tasks(), BlockRef{});
           } else {
             // Same experiment required; shard identities may differ and
             // may overlap (duplicates are deterministic, first copy wins).
-            check_fingerprint(path, parsed, base, /*check_shard=*/false);
+            checkpoint::check_fingerprint(paths[file], parsed, base,
+                                          /*check_shard=*/false);
           }
         },
-        [&](std::size_t task, std::vector<SimulationResult>&& outcomes) {
+        [&](const checkpoint::Cell& cell) {
           ++cells_here;
-          if (have[task]) {
+          BlockRef& ref = blocks[cell.task];
+          if (ref.length > 0) {
             ++out.duplicate_cells;
             return;
           }
-          have[task] = true;
-          for (std::size_t s = 0; s < outcomes.size(); ++s) {
-            partials[task][s].add(outcomes[s], base.budget);
-          }
-          blocks[task] = serialize_cell(task, outcomes);
+          ref = {file, cell.offset, cell.length};
           ++out.cells_merged;
         });
     out.shard_cells.push_back(cells_here);
@@ -1152,33 +688,44 @@ ShardMergeOutcome merge_shard_checkpoints(
   out.config.feedback = base.feedback;
   out.result.strategy_names = base.names;
   out.result.aggregates.resize(base.names.size());
-  // Deterministic merge order: task-major, strategy-minor — identical to
-  // run_experiment, hence bit-identical aggregates when no cell is missing.
-  for (std::size_t task = 0; task < tasks; ++task) {
-    if (!have[task]) {
+
+  // Pass 2, in task order: copy each winning block's bytes into the
+  // merged file as they are — an ordinary unsharded checkpoint under a
+  // shard 0/1 header, resumable by run_experiment — and fold it through
+  // one cleared partial per strategy, then merge task-major /
+  // strategy-minor: run_experiment's exact operation sequence, hence
+  // bit-identical aggregates when no cell is missing.
+  util::AtomicFileWriter merged;
+  if (!merged_output_path.empty()) {
+    checkpoint::Fingerprint merged_fp = base;
+    merged_fp.shard_index = 0;
+    merged_fp.shard_count = 1;
+    merged.open(merged_output_path);
+    merged.append(checkpoint::header(merged_fp));
+  }
+  checkpoint::BlockReader reader(paths);
+  checkpoint::Cell cell;
+  std::vector<TraceAggregator> partials(base.names.size());
+  for (const BlockRef& ref : blocks) {
+    if (ref.length == 0) {
       ++out.cells_missing;
       continue;
     }
-    for (std::size_t s = 0; s < base.names.size(); ++s) {
-      out.result.aggregates[s].merge(partials[task][s]);
+    const std::string_view bytes =
+        reader.read(ref.file, ref.offset, ref.length, base, cell);
+    if (merged.is_open()) merged.append(bytes);
+    for (std::size_t s = 0; s < partials.size(); ++s) {
+      partials[s].clear();
+      partials[s].add(cell.trace(s), cell.totals(s), base.budget);
+      out.result.aggregates[s].merge(partials[s]);
     }
   }
+  if (merged.is_open()) merged.commit();
   if (out.cells_missing > 0) {
     util::log_warn(
         "merge: %zu of %zu grid cells missing from the inputs — run the "
         "absent shards (or resume the torn ones) and re-merge",
-        out.cells_missing, tasks);
-  }
-  if (!merged_output_path.empty()) {
-    // The merged file is an ordinary unsharded checkpoint: blocks in task
-    // order under a shard 0/1 header, resumable by run_experiment (missing
-    // cells simply re-run there).
-    CheckpointFingerprint merged_fp = base;
-    merged_fp.shard_index = 0;
-    merged_fp.shard_count = 1;
-    std::string text = checkpoint_header(merged_fp);
-    for (std::size_t task = 0; task < tasks; ++task) text += blocks[task];
-    util::write_file_atomic(merged_output_path, text);
+        out.cells_missing, blocks.size());
   }
   return out;
 }

@@ -31,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,17 +45,44 @@
 
 namespace accu {
 
+/// The per-run totals TraceAggregator folds beside the per-request curves,
+/// as SimulationResult carries them (`benefit` is its total_benefit).
+struct RunTotals {
+  double benefit = 0.0;
+  std::uint32_t accepted = 0;
+  std::uint32_t cautious_friends = 0;
+  std::uint32_t faulted = 0;
+  std::uint32_t retries = 0;
+  std::uint32_t suspended = 0;
+  std::uint32_t abandoned = 0;
+};
+
 /// Accumulates per-request curves and totals across repeated simulations.
 class TraceAggregator {
  public:
   /// Folds one simulation into the aggregate.  Short traces (policy ran out
   /// of candidates) hold their final benefit for the remaining indices so
   /// cumulative curves stay comparable; `budget` fixes that horizon.
-  void add(const SimulationResult& result, std::uint32_t budget);
+  void add(const SimulationResult& result, std::uint32_t budget) {
+    add(result.trace,
+        {result.total_benefit, result.num_accepted,
+         result.num_cautious_friends, result.num_faulted, result.num_retries,
+         result.rounds_suspended, result.num_abandoned},
+        budget);
+  }
+
+  /// The same fold from a run's trace and totals alone — how checkpointed
+  /// cells replay without rebuilding a SimulationResult.
+  void add(std::span<const RequestRecord> trace, const RunTotals& totals,
+           std::uint32_t budget);
 
   /// Merges another aggregator (shards of a parallel sweep).  Statistically
   /// exact: means/variances/CIs equal the sequential accumulation.
   void merge(const TraceAggregator& other);
+
+  /// Back to the default-constructed state, keeping the series' capacity
+  /// so one aggregator can stand in for a fresh one per cell.
+  void clear() noexcept;
 
   /// Cumulative Eq.-(1) benefit after request i (0-based).
   [[nodiscard]] const util::SeriesAccumulator& cumulative_benefit() const {
@@ -189,8 +217,8 @@ struct ExperimentConfig {
   /// uninterrupted run.  The file must belong to the same experiment
   /// (config fingerprint is checked; mismatch throws IoError).  Files are
   /// written in the v2 format (per-cell CRC32 trailers, fsync per cell); a
-  /// torn or CRC-failing tail is truncated with a warning on load, and v1
-  /// files are still readable (upgraded to v2 in place on resume).
+  /// torn or CRC-failing tail is truncated with a warning on load.  Files
+  /// in any other format version are rejected with an IoError.
   std::string checkpoint_path{};
   /// Checkpoint fsync cadence (util/atomic_file.hpp).  strict (default)
   /// syncs every cell; grouped amortizes the fsync over group_cells /
@@ -312,7 +340,9 @@ struct ShardMergeOutcome {
 /// resume; the affected cells count as missing, not as errors.  When
 /// `merged_output_path` is non-empty, the surviving cells are also written
 /// there as one unsharded v2 checkpoint (atomic replace) that
-/// run_experiment can resume from.  Throws IoError on unreadable or
+/// run_experiment can resume from: the CRC-verified block bytes of each
+/// input are copied as they are, in task order, so it equals the file an
+/// unsharded one-thread sweep writes.  Throws IoError on unreadable or
 /// fingerprint-mismatched inputs, InvalidArgument when `paths` is empty.
 [[nodiscard]] ShardMergeOutcome merge_shard_checkpoints(
     const std::vector<std::string>& paths,

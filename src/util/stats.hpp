@@ -70,6 +70,9 @@ class SeriesAccumulator {
   /// shards).
   void merge(const SeriesAccumulator& other);
 
+  /// Back to the empty state, keeping capacity for reuse.
+  void clear() noexcept { cells_.clear(); }
+
   [[nodiscard]] std::size_t length() const noexcept { return cells_.size(); }
   [[nodiscard]] const RunningStat& at(std::size_t index) const;
   [[nodiscard]] std::vector<double> means() const;

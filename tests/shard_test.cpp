@@ -317,6 +317,38 @@ TEST(MergeTest, MergedCheckpointIsResumableUnsharded) {
   expect_identical_results(sequential, replayed);
 }
 
+// The merge copies each CRC-verified block as it is: the merged file of
+// three shards must equal, byte for byte, the checkpoint an unsharded
+// one-thread strict sweep writes.  The second pass adds the optional
+// header lines (feedback) and every record field faults and retries use.
+TEST(MergeTest, MergedCheckpointEqualsUnshardedCheckpoint) {
+  ExperimentConfig clean = base_config();
+  clean.faults = FaultConfig{};
+  clean.retry = util::RetryPolicy::none();
+  ExperimentConfig delayed = base_config();
+  delayed.feedback = FeedbackModel::parse("delayed:3");
+  for (const ExperimentConfig& plain : {clean, delayed}) {
+    const std::string tag = plain.feedback.spec();
+    SCOPED_TRACE(tag);
+    ExperimentConfig unsharded = plain;
+    unsharded.threads = 1;
+    unsharded.durability.mode = util::DurabilityPolicy::Mode::kStrict;
+    unsharded.checkpoint_path = temp_path("accu_bytes_" + tag + ".txt");
+    (void)run_experiment(tiny_factory(), two_strategies(), unsharded);
+
+    const std::vector<std::string> paths =
+        run_shards(plain, 3, "accu_bytes_" + tag);
+    const std::string merged_path = temp_path("accu_bytes_merged_" + tag);
+    const ShardMergeOutcome merged =
+        merge_shard_checkpoints(paths, merged_path);
+    EXPECT_EQ(merged.cells_missing, 0u);
+    const std::string expected = read_file(unsharded.checkpoint_path);
+    EXPECT_EQ(expected.find("\nfeedback ") != std::string::npos,
+              !plain.feedback.is_full());
+    EXPECT_EQ(read_file(merged_path), expected);
+  }
+}
+
 TEST(MergeTest, MergeIsOrderIndependentAndDeduplicatesOverlap) {
   const ExperimentConfig plain = base_config();
   const std::vector<std::string> paths = run_shards(plain, 3, "accu_order");

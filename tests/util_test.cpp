@@ -614,6 +614,33 @@ TEST(Crc32Test, IncrementalChainingEqualsOneShot) {
   EXPECT_NE(crc32(std::string_view(flipped)), whole);
 }
 
+// Eight bytes per step plus a byte tail: every length and start alignment
+// must give the bit-at-a-time definition's value, one-shot and chained.
+TEST(Crc32Test, SlicedPathMatchesBitwiseDefinition) {
+  auto bitwise = [](const unsigned char* p, std::size_t n) {
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xffffffffu;
+  };
+  Rng rng(32);
+  std::vector<unsigned char> buf(320);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng());
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t n = 0; start + n <= buf.size(); n += 1 + n / 16) {
+      const unsigned char* p = buf.data() + start;
+      const std::uint32_t want = bitwise(p, n);
+      EXPECT_EQ(crc32(p, n), want) << "start " << start << " len " << n;
+      const std::size_t split = n / 3;
+      EXPECT_EQ(crc32(p + split, n - split, crc32(p, split)), want);
+    }
+  }
+}
+
 // ----------------------------------------------------------- atomic file ----
 
 std::string slurp(const std::string& path) {

@@ -7,7 +7,9 @@
 #      ASan + the micro_core allocations-per-cell ceiling
 #   4. shard round-trip                 — a sweep split into three shard
 #      processes (one SIGKILLed mid-run and resumed) merged with `accu merge`
-#      must reproduce the unsharded report byte-for-byte
+#      must reproduce the unsharded report byte-for-byte, and the merged
+#      checkpoint must equal the unsharded one-thread sweep's checkpoint
+#      (the merge copies CRC-verified blocks as they are)
 #   5. pack round-trip                  — `accu pack` converts a generated
 #      instance to the binary .accui format; the mmap-loaded sweep report
 #      must match the text-path report byte-for-byte, the unpack leg must
@@ -104,7 +106,10 @@ echo "=== shard → kill → resume → merge round-trip ==="
 # End-to-end check of the sharding contract with real processes: three
 # shard sweeps (one SIGKILLed mid-run, then resumed from its surviving
 # checkpoint bytes) merge into a report byte-identical to the unsharded
-# single-process run — only the title line differs.
+# single-process run — only the title line differs.  The merge copies each
+# CRC-verified block of the shard files as it is, in task order, so the
+# merged checkpoint must also `cmp` equal to the checkpoint the unsharded
+# one-thread reference run writes — torn shard included.
 RT="build-ci/shard-roundtrip"
 rm -rf "${RT}"
 mkdir -p "${RT}"
@@ -112,7 +117,8 @@ mkdir -p "${RT}"
   --cautious=8 --out="${RT}/net.accu" > /dev/null
 SWEEP=(./build-ci/tools/accu compare "--in=${RT}/net.accu" --k=12 --runs=6 \
   --seed=9 --fault-rate=0.2 --retry=exp)
-"${SWEEP[@]}" "--report=${RT}/reference.md" > /dev/null
+"${SWEEP[@]}" --threads=1 "--resume=${RT}/reference.ckpt" \
+  "--report=${RT}/reference.md" > /dev/null
 for i in 0 2; do
   "${SWEEP[@]}" "--shard=${i}/3" "--resume=${RT}/shard${i}.ckpt" > /dev/null
 done
@@ -128,7 +134,11 @@ diff <(tail -n +2 "${RT}/reference.md") <(tail -n +2 "${RT}/merged.md") || {
   echo "FAIL: merged shard report differs from the unsharded reference" >&2
   exit 1
 }
-echo "shard round-trip OK: merged report matches the unsharded sweep"
+cmp "${RT}/reference.ckpt" "${RT}/merged.ckpt" || {
+  echo "FAIL: merged checkpoint differs from the unsharded checkpoint" >&2
+  exit 1
+}
+echo "shard round-trip OK: merged report and checkpoint match the unsharded sweep"
 
 echo "=== binary format: pack → mmap-load → sweep → byte-identical report ==="
 # End-to-end check of the .accui contract with the real CLI: the same
