@@ -57,8 +57,7 @@ PairedTrials paired_trials(const AccuInstance& instance,
     util::Rng full_rng = restricted_rng;
     AbmStrategy restricted(w_direct, w_indirect);
     out.restricted.push_back(simulate(instance, truth, restricted, budget,
-                                      restricted_rng, /*cancel=*/nullptr,
-                                      feedback)
+                                      restricted_rng, {.feedback = feedback})
                                  .total_benefit);
     AbmStrategy full(w_direct, w_indirect);
     out.full.push_back(

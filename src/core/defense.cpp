@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/simulator.hpp"
+#include "core/engine.hpp"
 #include "core/strategies/abm.hpp"
 
 namespace accu::defense {
@@ -47,14 +47,16 @@ VulnerabilityReport assess(const AccuInstance& instance,
 
   util::Rng master(model.seed);
   util::RunningStat capture_rate;
+  SimWorkspace ws;
+  SimulationResult result;
   for (std::uint32_t trial = 0; trial < model.trials; ++trial) {
     util::Rng rng = master.split(trial + 1);
-    const Realization truth = Realization::sample(instance, rng);
+    const Realization& truth = ws.sample_truth(instance, rng);
     AbmStrategy attacker(model.weights.direct, model.weights.indirect);
-    AttackerView view(instance);
+    AttackerView& view = ws.reset_view(instance);
     util::Rng attack_rng = rng.split(7);
-    const SimulationResult result = simulate_with_view(
-        instance, truth, attacker, model.budget, attack_rng, view);
+    simulate_into(instance, truth, attacker, model.budget, attack_rng, view,
+                  ws, result);
     report.attacker_benefit.add(result.total_benefit);
     std::size_t captured = 0;
     for (std::size_t i = 0; i < report.cautious_users.size(); ++i) {

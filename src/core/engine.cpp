@@ -60,39 +60,35 @@ void offer_task_pool(Strategy& strategy, SimWorkspace& ws) {
 void simulate_into(const AccuInstance& instance, const Realization& truth,
                    Strategy& strategy, std::uint32_t budget, util::Rng& rng,
                    AttackerView& view, SimWorkspace& ws, SimulationResult& out,
-                   const util::CancelToken* cancel,
-                   const FeedbackModel& feedback) {
+                   const SimOptions& options) {
   ACCU_ASSERT(truth.num_edges() == instance.graph().num_edges());
   ACCU_ASSERT(truth.num_nodes() == instance.num_nodes());
   out.clear();
   out.trace.reserve(budget);
-  view.arm_feedback(feedback);
+  view.arm_feedback(options.feedback);
   offer_score_pack(instance, strategy, ws);
   offer_task_pool(strategy, ws);
   strategy.reset(instance, rng);
-  engine::ReliableEnv env(instance, truth, strategy, budget, rng, view, ws,
-                          out, cancel);
-  engine::run_rounds(env);
+  if (options.faults != nullptr) {
+    engine::FaultyEnv env(instance, truth, strategy, budget, rng,
+                          *options.faults, view, ws, out, options.cancel);
+    engine::run_rounds(env);
+  } else {
+    engine::ReliableEnv env(instance, truth, strategy, budget, rng, view, ws,
+                            out, options.cancel);
+    engine::run_rounds(env);
+  }
 }
 
-void simulate_with_faults_into(const AccuInstance& instance,
-                               const Realization& truth, Strategy& strategy,
-                               std::uint32_t budget, util::Rng& rng,
-                               FaultModel& faults, AttackerView& view,
-                               SimWorkspace& ws, SimulationResult& out,
-                               const util::CancelToken* cancel,
-                               const FeedbackModel& feedback) {
-  ACCU_ASSERT(truth.num_edges() == instance.graph().num_edges());
-  ACCU_ASSERT(truth.num_nodes() == instance.num_nodes());
-  out.clear();
-  out.trace.reserve(budget);
-  view.arm_feedback(feedback);
-  offer_score_pack(instance, strategy, ws);
-  offer_task_pool(strategy, ws);
-  strategy.reset(instance, rng);
-  engine::FaultyEnv env(instance, truth, strategy, budget, rng, faults, view,
-                        ws, out, cancel);
-  engine::run_rounds(env);
+SimulationResult simulate(const AccuInstance& instance,
+                          const Realization& truth, Strategy& strategy,
+                          std::uint32_t budget, util::Rng& rng,
+                          const SimOptions& options) {
+  SimWorkspace ws;
+  SimulationResult result;
+  simulate_into(instance, truth, strategy, budget, rng, ws.reset_view(instance),
+                ws, result, options);
+  return result;
 }
 
 }  // namespace accu

@@ -74,9 +74,8 @@ class SimWorkspace {
 
   /// The flat SoA score pack for `instance`, built on first use and cached
   /// by instance identity (AccuInstance::uid), so a sweep that re-runs the
-  /// same instance across cells shares one pack allocation-free.  The
-  /// engine entry points offer it to strategies via
-  /// Strategy::adopt_score_pack.
+  /// same instance across cells shares one pack allocation-free.
+  /// `simulate_into` offers it to strategies via Strategy::adopt_score_pack.
   [[nodiscard]] const ScorePack& score_pack(const AccuInstance& instance);
 
   /// Configures the width of the intra-cell task pool offered to strategies
@@ -102,24 +101,16 @@ class SimWorkspace {
   std::optional<TaskPool> task_pool_;
 };
 
-/// As `simulate_with_view` (simulator.hpp), but writes into a caller-owned
-/// result and draws all scratch from `ws` — the allocation-free entry point
-/// the experiment harness uses.  `view` is typically `ws.reset_view(...)`;
-/// any fresh view over `instance` works.
+/// The one single-bot entry point: runs `strategy` like `simulate`
+/// (simulator.hpp), but writes into a caller-owned result and draws all
+/// scratch from `ws` — the allocation-free path the experiment harness
+/// uses.  `view` is typically `ws.reset_view(...)`; any fresh view over
+/// `instance` works, and it holds the attacker's final knowledge on return.
+/// A non-null `options.faults` selects the faulted environment.
 void simulate_into(const AccuInstance& instance, const Realization& truth,
                    Strategy& strategy, std::uint32_t budget, util::Rng& rng,
                    AttackerView& view, SimWorkspace& ws, SimulationResult& out,
-                   const util::CancelToken* cancel = nullptr,
-                   const FeedbackModel& feedback = {});
-
-/// As `simulate_with_faults`, workspace-pooled like `simulate_into`.
-void simulate_with_faults_into(const AccuInstance& instance,
-                               const Realization& truth, Strategy& strategy,
-                               std::uint32_t budget, util::Rng& rng,
-                               FaultModel& faults, AttackerView& view,
-                               SimWorkspace& ws, SimulationResult& out,
-                               const util::CancelToken* cancel = nullptr,
-                               const FeedbackModel& feedback = {});
+                   const SimOptions& options = {});
 
 namespace engine {
 

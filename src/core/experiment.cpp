@@ -421,20 +421,18 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
             worker.retrying[s]->reseed(derive_seed(
                 stream_base ^ kRetryStreamSalt, sample, run + 1, s + 1));
           }
-          AttackerView& view = worker.ws.reset_view(instance);
+          std::optional<FaultModel> faults;
           if (faulty) {
-            FaultModel faults(config.faults,
-                              derive_seed(stream_base ^ kFaultStreamSalt,
-                                          sample, run + 1, s + 1));
-            simulate_with_faults_into(instance, truth, strategy,
-                                      config.budget, policy_rng, faults, view,
-                                      worker.ws, worker.outcomes[s],
-                                      token.get(), config.feedback);
-          } else {
-            simulate_into(instance, truth, strategy, config.budget,
-                          policy_rng, view, worker.ws, worker.outcomes[s],
-                          token.get(), config.feedback);
+            faults.emplace(config.faults,
+                           derive_seed(stream_base ^ kFaultStreamSalt, sample,
+                                       run + 1, s + 1));
           }
+          simulate_into(instance, truth, strategy, config.budget, policy_rng,
+                        worker.ws.reset_view(instance), worker.ws,
+                        worker.outcomes[s],
+                        {.faults = faults ? &*faults : nullptr,
+                         .cancel = token.get(),
+                         .feedback = config.feedback});
           partials[task][s].add(worker.outcomes[s], config.budget);
         }
         release_slot();

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/faults.hpp"
+#include "core/feedback.hpp"
 #include "core/instance.hpp"
 #include "core/observation.hpp"
 #include "core/realization.hpp"
@@ -143,16 +144,16 @@ class Strategy {
   [[nodiscard]] virtual FaultObserver* as_fault_observer() { return nullptr; }
 
   /// Score-pack pooling (core/score.hpp).  A strategy that scores through
-  /// the flat SoA kernels returns true here; the engine entry points then
-  /// offer the workspace-pooled pack for the upcoming instance via
+  /// the flat SoA kernels returns true here; `simulate_into` then offers
+  /// the workspace-pooled pack for the upcoming instance via
   /// adopt_score_pack immediately before reset(), saving a per-simulation
   /// rebuild.  An adopted pack is valid only for the simulation whose
   /// reset() follows; strategies without an offer build their own.
   [[nodiscard]] virtual bool wants_score_pack() const { return false; }
   virtual void adopt_score_pack(const ScorePack& pack) { (void)pack; }
 
-  /// Intra-cell parallelism (core/task_pool.hpp).  The engine entry points
-  /// offer the workspace-pooled task pool immediately before reset();
+  /// Intra-cell parallelism (core/task_pool.hpp).  `simulate_into` offers
+  /// the workspace-pooled task pool immediately before reset();
   /// strategies with parallel-friendly inner loops (lookahead branch
   /// evaluation, batched rescore chunks) may keep the pointer for the
   /// simulation whose reset() follows and fan independent tasks across it.
@@ -163,62 +164,43 @@ class Strategy {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
+/// Per-run options of `simulate` and `simulate_into` (core/engine.hpp).
+/// The defaults are the paper's setting: a reliable platform, no
+/// cancellation, full feedback.
+struct SimOptions {
+  /// Non-null runs against an unreliable platform: each request attempt may
+  /// fault per the model (core/faults.hpp).  The budget then counts
+  /// *rounds* — delivered requests, faulted requests, and suspension stalls
+  /// all consume one each.  A strategy that implements FaultObserver (e.g.
+  /// RetryingStrategy) decides whether a faulted target stays pending for a
+  /// retry; any other strategy has every faulted target abandoned (recorded
+  /// as rejected, surfaced through the normal observe() path).  An all-zero
+  /// FaultConfig produces byte-identical traces to a null model for every
+  /// strategy (a regression test enforces this).
+  FaultModel* faults = nullptr;
+  /// Polled between rounds when non-null; a fired token unwinds with
+  /// util::CancelledError *before* the next request, so no partial trace
+  /// ever escapes — the caller sees either a complete result or the
+  /// exception.  Polling consumes no randomness: a token that never fires
+  /// leaves every outcome byte-identical.
+  const util::CancelToken* cancel = nullptr;
+  /// The revelation model (core/feedback.hpp).  The default (full) is the
+  /// paper's semantics; non-full models defer neighborhood revelations per
+  /// DESIGN.md §15.  Trace benefits always measure the realized attack
+  /// state, so results are comparable across models.
+  FeedbackModel feedback{};
+};
+
 /// Runs `strategy` for at most `budget` requests against the given ground
 /// truth.  `rng` drives only the strategy's own randomness (tie-breaking,
-/// the Random baseline); all environment randomness lives in `truth`.
-///
-/// Cancellation: when `cancel` is non-null it is polled between rounds; a
-/// fired token unwinds with util::CancelledError *before* the next request,
-/// so no partial trace ever escapes — the caller sees either a complete
-/// result or the exception.  Polling consumes no randomness: passing a
-/// token that never fires leaves every outcome byte-identical.
-///
-/// Feedback: `feedback` selects the revelation model (core/feedback.hpp).
-/// The default (full) is the paper's semantics and the status-quo code
-/// path; non-full models defer neighborhood revelations per DESIGN.md §15.
-/// Trace benefits always measure the realized attack state, so results are
-/// comparable across models.
-[[nodiscard]] SimulationResult simulate(
-    const AccuInstance& instance, const Realization& truth,
-    Strategy& strategy, std::uint32_t budget, util::Rng& rng,
-    const util::CancelToken* cancel = nullptr,
-    const FeedbackModel& feedback = {});
-
-/// As `simulate`, but also exposes the final view (integration tests and
-/// the examples' reporting use it).
-[[nodiscard]] SimulationResult simulate_with_view(
-    const AccuInstance& instance, const Realization& truth,
-    Strategy& strategy, std::uint32_t budget, util::Rng& rng,
-    AttackerView& view_out, const util::CancelToken* cancel = nullptr,
-    const FeedbackModel& feedback = {});
-
-/// As `simulate`, but runs against an unreliable platform: each request
-/// attempt may fault per `faults` (core/faults.hpp).  The budget counts
-/// *rounds* — delivered requests, faulted requests, and suspension stalls
-/// all consume one each.  Fault handling:
-///
-///   * If the strategy implements FaultObserver (e.g. RetryingStrategy),
-///     it is asked whether to keep the target pending for a retry or
-///     abandon it.
-///   * Otherwise every faulted target is abandoned: recorded as rejected
-///     in the view (no information gained) and surfaced to the strategy
-///     through the normal observe() path — any Strategy degrades
-///     gracefully without modification.
-///
-/// With an all-zero FaultConfig this produces byte-identical traces to
-/// `simulate` for every strategy (a regression test enforces this).
-[[nodiscard]] SimulationResult simulate_with_faults(
-    const AccuInstance& instance, const Realization& truth,
-    Strategy& strategy, std::uint32_t budget, util::Rng& rng,
-    FaultModel& faults, const util::CancelToken* cancel = nullptr,
-    const FeedbackModel& feedback = {});
-
-/// As `simulate_with_faults`, but exposes the final view.
-[[nodiscard]] SimulationResult simulate_with_faults(
-    const AccuInstance& instance, const Realization& truth,
-    Strategy& strategy, std::uint32_t budget, util::Rng& rng,
-    FaultModel& faults, AttackerView& view_out,
-    const util::CancelToken* cancel = nullptr,
-    const FeedbackModel& feedback = {});
+/// the Random baseline); all environment randomness lives in `truth` and
+/// `options.faults`.  Allocates a transient workspace per call; callers
+/// that run many simulations, or read the final view, use `simulate_into`
+/// (core/engine.hpp) with a persistent SimWorkspace.
+[[nodiscard]] SimulationResult simulate(const AccuInstance& instance,
+                                        const Realization& truth,
+                                        Strategy& strategy,
+                                        std::uint32_t budget, util::Rng& rng,
+                                        const SimOptions& options = {});
 
 }  // namespace accu

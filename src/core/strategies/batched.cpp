@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/strategies/abm.hpp"
-
 namespace accu {
 
 BatchedAbmStrategy::BatchedAbmStrategy(PotentialWeights weights,
-                                       std::uint32_t batch_size,
-                                       bool flat_scoring)
-    : weights_(weights), batch_size_(batch_size), flat_scoring_(flat_scoring) {
+                                       std::uint32_t batch_size)
+    : weights_(weights), batch_size_(batch_size) {
   if (batch_size == 0) {
     throw InvalidArgument("BatchedAbmStrategy: batch size must be >= 1");
   }
@@ -49,37 +46,26 @@ void BatchedAbmStrategy::reset(const AccuInstance& instance, util::Rng&) {
   pool_fresh_ = false;
 }
 
-const ScorePack* BatchedAbmStrategy::current_pack() {
-  if (!flat_scoring_) return nullptr;
-  if (adopted_pack_ != nullptr) return adopted_pack_;
+const ScorePack& BatchedAbmStrategy::current_pack() {
+  if (adopted_pack_ != nullptr) return *adopted_pack_;
   if (!own_pack_.built_for(*instance_)) own_pack_.build(*instance_);
-  return &own_pack_;
+  return own_pack_;
 }
 
 void BatchedAbmStrategy::fill_batch(const AttackerView& view) {
   batch_.clear();
   cursor_ = 0;
   scored_.clear();
-  if (const ScorePack* pack = current_pack()) {
-    // Batched rescore over the flat arrays, chunked across the intra-cell
-    // pool when one was offered; bit-identical values to the scalar scorer
-    // below (and for any pool width), so the resulting batch is the same.
-    const NodeId n = instance_->num_nodes();
-    scores_.resize(n);
-    score_batch_all(*pack, view, weights_, batch_scratch_, task_pool_,
-                    scores_.data());
-    for (NodeId u = 0; u < n; ++u) {
-      if (view.is_requested(u)) continue;
-      scored_.emplace_back(scores_[u], u);
-    }
-  } else {
-    AbmStrategy::Config config;
-    config.weights = weights_;
-    const AbmStrategy scorer(config);
-    for (NodeId u = 0; u < instance_->num_nodes(); ++u) {
-      if (view.is_requested(u)) continue;
-      scored_.emplace_back(scorer.potential(view, u), u);
-    }
+  // Batched rescore over the flat arrays, chunked across the intra-cell
+  // pool when one was offered; the values are bit-identical to ABM's scalar
+  // potential for any pool width.
+  const NodeId n = instance_->num_nodes();
+  scores_.resize(n);
+  score_batch_all(current_pack(), view, weights_, batch_scratch_, task_pool_,
+                  scores_.data());
+  for (NodeId u = 0; u < n; ++u) {
+    if (view.is_requested(u)) continue;
+    scored_.emplace_back(scores_[u], u);
   }
   const std::size_t take =
       std::min<std::size_t>(batch_size_, scored_.size());

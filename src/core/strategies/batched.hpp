@@ -26,18 +26,13 @@ namespace accu {
 
 class BatchedAbmStrategy final : public Strategy {
  public:
-  /// `flat_scoring` selects the SoA batched-rescore kernel (score_batch);
-  /// false keeps the scalar AbmStrategy scorer — bit-identical decisions
-  /// either way (pinned by tests), the flag exists for the oracle tests and
-  /// A/B benchmarks.
-  BatchedAbmStrategy(PotentialWeights weights, std::uint32_t batch_size,
-                     bool flat_scoring = true);
+  /// Scores through the SoA batched-rescore kernel (score_batch), which
+  /// score_test pins bit for bit against AbmStrategy's scalar potential.
+  BatchedAbmStrategy(PotentialWeights weights, std::uint32_t batch_size);
 
   void reset(const AccuInstance& instance, util::Rng& rng) override;
   NodeId select(const AttackerView& view, util::Rng& rng) override;
-  [[nodiscard]] bool wants_score_pack() const override {
-    return flat_scoring_;
-  }
+  [[nodiscard]] bool wants_score_pack() const override { return true; }
   void adopt_score_pack(const ScorePack& pack) override;
   void adopt_task_pool(TaskPool* pool) override;
   [[nodiscard]] std::string name() const override;
@@ -54,12 +49,11 @@ class BatchedAbmStrategy final : public Strategy {
   void fill_batch(const AttackerView& view);
 
   /// The SoA pack for the current instance (adopted from the workspace or
-  /// built locally); nullptr when flat scoring is off.
-  [[nodiscard]] const ScorePack* current_pack();
+  /// built locally).
+  [[nodiscard]] const ScorePack& current_pack();
 
   PotentialWeights weights_;
   std::uint32_t batch_size_;
-  bool flat_scoring_;
   const AccuInstance* instance_ = nullptr;
   std::vector<NodeId> batch_;  // pending targets, best first
   std::size_t cursor_ = 0;

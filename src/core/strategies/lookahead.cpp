@@ -49,48 +49,29 @@ void LookaheadStrategy::reset(const AccuInstance& instance, util::Rng&) {
   pool_fresh_ = false;
 }
 
-const ScorePack* LookaheadStrategy::current_pack() {
-  if (!config_.flat_scoring) return nullptr;
-  if (adopted_pack_ != nullptr) return adopted_pack_;
+const ScorePack& LookaheadStrategy::current_pack() {
+  if (adopted_pack_ != nullptr) return *adopted_pack_;
   if (!own_pack_.built_for(*instance_)) own_pack_.build(*instance_);
-  return &own_pack_;
+  return own_pack_;
 }
 
-double LookaheadStrategy::step_score(const AttackerView& view,
-                                     NodeId u) const {
-  const double q = AbmStrategy::effective_accept_prob(view, u);
-  if (q <= 0.0) return 0.0;
-  double value = config_.weights.direct * AbmStrategy::direct_gain(view, u);
-  if (config_.weights.indirect > 0.0) {
-    value += config_.weights.indirect * AbmStrategy::indirect_gain(view, u);
-  }
-  return q * value;
-}
-
-double LookaheadStrategy::best_step_score(const ScorePack* pack,
+double LookaheadStrategy::best_step_score(const ScorePack& pack,
                                           const AttackerView& view,
                                           BranchScratch& s) const {
   const NodeId n = instance_->num_nodes();
+  s.scores.resize(n);
+  score_batch_prepare(pack, view, config_.weights.indirect > 0.0, s.batch);
+  score_batch_ranged(pack, view, config_.weights, s.batch, 0, n,
+                     s.scores.data());
   double best = 0.0;
-  if (pack != nullptr) {
-    s.scores.resize(n);
-    score_batch_prepare(*pack, view, config_.weights.indirect > 0.0, s.batch);
-    score_batch_ranged(*pack, view, config_.weights, s.batch, 0, n,
-                       s.scores.data());
-    for (NodeId v = 0; v < n; ++v) {
-      if (view.is_requested(v)) continue;
-      best = std::max(best, s.scores[v]);
-    }
-    return best;
-  }
   for (NodeId v = 0; v < n; ++v) {
     if (view.is_requested(v)) continue;
-    best = std::max(best, step_score(view, v));
+    best = std::max(best, s.scores[v]);
   }
   return best;
 }
 
-double LookaheadStrategy::evaluate_candidate(const ScorePack* pack,
+double LookaheadStrategy::evaluate_candidate(const ScorePack& pack,
                                              const AttackerView& view,
                                              NodeId u, double first_step,
                                              const std::uint8_t* draws,
@@ -153,25 +134,18 @@ double LookaheadStrategy::evaluate_candidate(const ScorePack* pack,
 NodeId LookaheadStrategy::select(const AttackerView& view, util::Rng& rng) {
   ACCU_ASSERT_MSG(instance_ != nullptr, "reset() must run before select()");
   const Graph& g = instance_->graph();
-  const ScorePack* pack = current_pack();  // resolved before any fan-out
+  const ScorePack& pack = current_pack();  // resolved before any fan-out
 
   // Stage 1: rank candidates by the myopic score (chunked across the
   // intra-cell pool when one was offered; chunking is value-invariant).
   ranked_.clear();
-  if (pack != nullptr) {
-    const NodeId n = instance_->num_nodes();
-    scores_.resize(n);
-    score_batch_all(*pack, view, config_.weights, batch_scratch_, task_pool_,
-                    scores_.data());
-    for (NodeId u = 0; u < n; ++u) {
-      if (view.is_requested(u)) continue;
-      ranked_.emplace_back(scores_[u], u);
-    }
-  } else {
-    for (NodeId u = 0; u < instance_->num_nodes(); ++u) {
-      if (view.is_requested(u)) continue;
-      ranked_.emplace_back(step_score(view, u), u);
-    }
+  const NodeId n = instance_->num_nodes();
+  scores_.resize(n);
+  score_batch_all(pack, view, config_.weights, batch_scratch_, task_pool_,
+                  scores_.data());
+  for (NodeId u = 0; u < n; ++u) {
+    if (view.is_requested(u)) continue;
+    ranked_.emplace_back(scores_[u], u);
   }
   if (ranked_.empty()) return kInvalidNode;
   const std::size_t beam =

@@ -38,11 +38,6 @@ class LookaheadStrategy final : public Strategy {
     /// Weights for the step scores; the paper-faithful marginal is
     /// (direct = 1, indirect = 0), but ABM's threshold credit composes.
     PotentialWeights weights{1.0, 0.0};
-    /// Score through the SoA batched kernel (score_batch) instead of the
-    /// scalar AbmStrategy statics.  Bit-identical decisions either way
-    /// (pinned by tests); the flag exists for the oracle tests and A/B
-    /// benchmarks.
-    bool flat_scoring = true;
   };
 
   LookaheadStrategy();
@@ -50,9 +45,7 @@ class LookaheadStrategy final : public Strategy {
 
   void reset(const AccuInstance& instance, util::Rng& rng) override;
   NodeId select(const AttackerView& view, util::Rng& rng) override;
-  [[nodiscard]] bool wants_score_pack() const override {
-    return config_.flat_scoring;
-  }
+  [[nodiscard]] bool wants_score_pack() const override { return true; }
   void adopt_score_pack(const ScorePack& pack) override;
   void adopt_task_pool(TaskPool* pool) override;
   [[nodiscard]] std::string name() const override;
@@ -70,12 +63,11 @@ class LookaheadStrategy final : public Strategy {
     ScoreBatchScratch batch;
   };
 
-  /// One-step score q(u)·(w_D·P_D + w_I·P_I).
-  [[nodiscard]] double step_score(const AttackerView& view, NodeId u) const;
-  /// Best one-step score over all un-requested users of `view` (including
-  /// the hypothetical branch views, where the SoA pack stays valid — the
-  /// scoring invariant survives record_acceptance on a copy).
-  [[nodiscard]] double best_step_score(const ScorePack* pack,
+  /// Best one-step score q(v)·(w_D·P_D + w_I·P_I) over all un-requested
+  /// users of `view` (including the hypothetical branch views, where the
+  /// SoA pack stays valid — the scoring invariant survives
+  /// record_acceptance on a copy).
+  [[nodiscard]] double best_step_score(const ScorePack& pack,
                                        const AttackerView& view,
                                        BranchScratch& s) const;
 
@@ -83,15 +75,15 @@ class LookaheadStrategy final : public Strategy {
   /// Monte Carlo acceptance continuation over `draws` (the candidate's
   /// pre-drawn scenario coins, one per unknown incident edge per sample).
   /// Pure function of its arguments and `s` — safe to fan across the pool.
-  [[nodiscard]] double evaluate_candidate(const ScorePack* pack,
+  [[nodiscard]] double evaluate_candidate(const ScorePack& pack,
                                           const AttackerView& view, NodeId u,
                                           double first_step,
                                           const std::uint8_t* draws,
                                           BranchScratch& s) const;
 
   /// The SoA pack for the current instance (adopted from the workspace or
-  /// built locally); nullptr when flat scoring is off.
-  [[nodiscard]] const ScorePack* current_pack();
+  /// built locally).
+  [[nodiscard]] const ScorePack& current_pack();
 
   Config config_;
   const AccuInstance* instance_ = nullptr;

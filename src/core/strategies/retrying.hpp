@@ -1,7 +1,7 @@
 // RetryingStrategy — fault-tolerance decorator for any Strategy.
 //
-// Wraps an inner policy and absorbs the fault feedback of
-// `simulate_with_faults`: when a request times out, is dropped, hits a
+// Wraps an inner policy and absorbs the fault feedback of a faulted run
+// (`SimOptions::faults`): when a request times out, is dropped, hits a
 // transient error, or is rate-limited, the decorator consults its
 // RetryPolicy and either schedules a re-request of the same target after a
 // backoff delay (measured in attacker actions — the inner policy keeps

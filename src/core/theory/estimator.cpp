@@ -69,7 +69,7 @@ double sampled_policy_value(
     const std::unique_ptr<Strategy> strategy = make();
     util::Rng policy_rng = rng.split(t + 1);
     total += simulate(instance, truth, *strategy, budget, policy_rng,
-                      /*cancel=*/nullptr, feedback)
+                      {.feedback = feedback})
                  .total_benefit;
   }
   return total / static_cast<double>(trials);
@@ -91,7 +91,7 @@ double empirical_adaptivity_gap(
     util::Rng full_rng = restricted_rng;
     const std::unique_ptr<Strategy> under_feedback = make();
     restricted += simulate(instance, truth, *under_feedback, budget,
-                           restricted_rng, /*cancel=*/nullptr, feedback)
+                           restricted_rng, {.feedback = feedback})
                       .total_benefit;
     const std::unique_ptr<Strategy> under_full = make();
     full += simulate(instance, truth, *under_full, budget, full_rng)

@@ -20,7 +20,6 @@
 
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
-#include "core/score_simd.hpp"
 #include "core/strategies/abm.hpp"
 #include "core/strategies/baselines.hpp"
 #include "core/strategies/batched.hpp"
@@ -368,21 +367,10 @@ std::vector<NamedFactory> all_strategies() {
                    return std::make_unique<BatchedAbmStrategy>(
                        PotentialWeights{0.5, 0.5}, 5);
                  }});
-  out.push_back({"BatchedABM-scalar", [] {
-                   return std::make_unique<BatchedAbmStrategy>(
-                       PotentialWeights{0.5, 0.5}, 5, /*flat_scoring=*/false);
-                 }});
   out.push_back({"Lookahead", [] {
                    LookaheadStrategy::Config config;
                    config.beam = 4;
                    config.scenario_samples = 2;
-                   return std::make_unique<LookaheadStrategy>(config);
-                 }});
-  out.push_back({"Lookahead-scalar", [] {
-                   LookaheadStrategy::Config config;
-                   config.beam = 4;
-                   config.scenario_samples = 2;
-                   config.flat_scoring = false;
                    return std::make_unique<LookaheadStrategy>(config);
                  }});
   out.push_back({"ABM+retry", [] {
@@ -430,8 +418,8 @@ TEST(EngineEquivalenceTest, FaultyTracesMatchLegacyLoopForAllStrategies) {
       FaultModel faults_b(fault_config, world + 11);
       const SimulationResult a = reference_simulate_with_faults(
           instance, truth, *legacy, 60, rng_a, faults_a);
-      const SimulationResult b = simulate_with_faults(instance, truth, *engine,
-                                                      60, rng_b, faults_b);
+      const SimulationResult b = simulate(instance, truth, *engine, 60, rng_b,
+                                          {.faults = &faults_b});
       expect_same(a, b, factory.name + " world " + std::to_string(world));
     }
   }
@@ -448,8 +436,8 @@ TEST(EngineEquivalenceTest, ZeroRateFaultyEnvEqualsReliableEnv) {
     util::Rng rng_b(9);
     FaultModel no_faults(FaultConfig{}, 123);
     const SimulationResult a = simulate(instance, truth, *plain, 40, rng_a);
-    const SimulationResult b = simulate_with_faults(instance, truth, *faulty,
-                                                    40, rng_b, no_faults);
+    const SimulationResult b = simulate(instance, truth, *faulty, 40, rng_b,
+                                        {.faults = &no_faults});
     expect_same(a, b, factory.name);
     EXPECT_EQ(b.num_faulted, 0u) << factory.name;
     EXPECT_EQ(b.rounds_suspended, 0u) << factory.name;
@@ -511,85 +499,42 @@ TEST(EngineEquivalenceTest, TemporalTracesMatchLegacyLoop) {
 }
 
 TEST(EngineEquivalenceTest, ScoreEngineBackedStrategiesMatchScalarScoring) {
-  // PR 4: the SoA/batched score paths must be invisible in the traces —
-  // every strategy that scores through core/score.hpp is pinned
-  // byte-identically against its scalar-scoring twin.
-  struct Pair {
-    std::string name;
-    std::function<std::unique_ptr<Strategy>()> flat;
-    std::function<std::unique_ptr<Strategy>()> scalar;
-  };
-  const std::vector<Pair> pairs = {
-      {"ABM",
-       [] { return std::make_unique<AbmStrategy>(0.5, 0.5); },
-       [] {
-         AbmStrategy::Config config;
-         config.incremental = false;
-         return std::make_unique<AbmStrategy>(config);
-       }},
-      {"BatchedABM",
-       [] {
-         return std::make_unique<BatchedAbmStrategy>(
-             PotentialWeights{0.5, 0.5}, 5, /*flat_scoring=*/true);
-       },
-       [] {
-         return std::make_unique<BatchedAbmStrategy>(
-             PotentialWeights{0.5, 0.5}, 5, /*flat_scoring=*/false);
-       }},
-      {"Lookahead",
-       [] {
-         LookaheadStrategy::Config config;
-         config.beam = 4;
-         config.scenario_samples = 2;
-         return std::make_unique<LookaheadStrategy>(config);
-       },
-       [] {
-         LookaheadStrategy::Config config;
-         config.beam = 4;
-         config.scenario_samples = 2;
-         config.flat_scoring = false;
-         return std::make_unique<LookaheadStrategy>(config);
-       }},
-  };
+  // PR 4: the incremental ScoreEngine must be invisible in the traces —
+  // ABM is pinned byte-identically against its full-recompute scalar mode.
+  // BatchedABM and Lookahead score only through the SoA kernels; their
+  // traces are pinned by GoldenTest.ScorePackStrategyTraceDigests.
   const AccuInstance instance = facebook_instance();
+  AbmStrategy::Config reference_config;
+  reference_config.incremental = false;
   for (std::uint64_t world = 0; world < 3; ++world) {
     util::Rng truth_rng(900 + world);
     const Realization truth = Realization::sample(instance, truth_rng);
-    for (const Pair& pair : pairs) {
-      auto flat = pair.flat();
-      auto scalar = pair.scalar();
-      util::Rng rng_a(world * 13 + 2);
-      util::Rng rng_b(world * 13 + 2);
-      const SimulationResult a = simulate(instance, truth, *flat, 45, rng_a);
-      const SimulationResult b = simulate(instance, truth, *scalar, 45, rng_b);
-      expect_same(a, b, pair.name + " world " + std::to_string(world));
-    }
+    AbmStrategy incremental(0.5, 0.5);
+    AbmStrategy reference(reference_config);
+    util::Rng rng_a(world * 13 + 2);
+    util::Rng rng_b(world * 13 + 2);
+    const SimulationResult a =
+        simulate(instance, truth, incremental, 45, rng_a);
+    const SimulationResult b =
+        simulate(instance, truth, reference, 45, rng_b);
+    expect_same(a, b, "ABM world " + std::to_string(world));
   }
 }
 
 TEST(EngineEquivalenceTest, WantsScorePackReflectsScoringMode) {
   // The engine offers the workspace ScorePack — and with it the
   // SIMD-dispatched batched rescore — exactly when wants_score_pack() is
-  // true.  Pin each strategy's answer so a scalar twin cannot silently
-  // drift onto (or off) the kernel seam.
+  // true.  Pin each strategy's answer so no policy silently drifts onto
+  // (or off) the kernel seam.
   EXPECT_TRUE(AbmStrategy(0.5, 0.5).wants_score_pack());
   {
     AbmStrategy::Config config;
     config.incremental = false;
     EXPECT_FALSE(AbmStrategy(config).wants_score_pack());
   }
-  EXPECT_TRUE(BatchedAbmStrategy(PotentialWeights{0.5, 0.5}, 5,
-                                 /*flat_scoring=*/true)
-                  .wants_score_pack());
-  EXPECT_FALSE(BatchedAbmStrategy(PotentialWeights{0.5, 0.5}, 5,
-                                  /*flat_scoring=*/false)
-                   .wants_score_pack());
-  {
-    LookaheadStrategy::Config config;
-    EXPECT_TRUE(LookaheadStrategy(config).wants_score_pack());
-    config.flat_scoring = false;
-    EXPECT_FALSE(LookaheadStrategy(config).wants_score_pack());
-  }
+  EXPECT_TRUE(
+      BatchedAbmStrategy(PotentialWeights{0.5, 0.5}, 5).wants_score_pack());
+  EXPECT_TRUE(LookaheadStrategy().wants_score_pack());
   // The retry decorator forwards the inner policy's answer verbatim.
   EXPECT_TRUE(RetryingStrategy(std::make_unique<AbmStrategy>(0.5, 0.5),
                                util::RetryPolicy::exponential_jitter(3))
@@ -597,47 +542,6 @@ TEST(EngineEquivalenceTest, WantsScorePackReflectsScoringMode) {
   EXPECT_FALSE(RetryingStrategy(std::make_unique<RandomStrategy>(),
                                 util::RetryPolicy::exponential_jitter(3))
                    .wants_score_pack());
-}
-
-TEST(EngineEquivalenceTest, ScalarTwinsMatchFlatUnderEveryForcedIsa) {
-  // The flat/scalar-twin equivalence above, re-pinned under every kernel
-  // table this host supports: forcing an ISA changes which vector code
-  // scores the flat side, and the twin (which never touches the seam)
-  // must still see byte-identical traces.
-  const AccuInstance instance = facebook_instance();
-  util::Rng truth_rng(912);
-  const Realization truth = Realization::sample(instance, truth_rng);
-  for (const simd::Isa isa :
-       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon}) {
-    if (!simd::isa_supported(isa)) continue;
-    simd::select_isa(isa);
-    const std::string label = simd::isa_name(isa);
-    {
-      BatchedAbmStrategy flat(PotentialWeights{0.5, 0.5}, 5,
-                              /*flat_scoring=*/true);
-      BatchedAbmStrategy scalar(PotentialWeights{0.5, 0.5}, 5,
-                                /*flat_scoring=*/false);
-      util::Rng rng_a(77);
-      util::Rng rng_b(77);
-      expect_same(simulate(instance, truth, flat, 45, rng_a),
-                  simulate(instance, truth, scalar, 45, rng_b),
-                  "BatchedABM isa " + label);
-    }
-    {
-      LookaheadStrategy::Config config;
-      config.beam = 4;
-      config.scenario_samples = 2;
-      LookaheadStrategy flat(config);
-      config.flat_scoring = false;
-      LookaheadStrategy scalar(config);
-      util::Rng rng_a(78);
-      util::Rng rng_b(78);
-      expect_same(simulate(instance, truth, flat, 45, rng_a),
-                  simulate(instance, truth, scalar, 45, rng_b),
-                  "Lookahead isa " + label);
-    }
-  }
-  simd::select_auto();
 }
 
 // ---------------------------------------------------------------------------
@@ -719,13 +623,14 @@ TEST(EngineWorkspaceTest, ReusedWorkspaceMatchesFreshUnderFaults) {
     util::Rng rng_b(cell + 40);
     FaultModel faults_a(fault_config, cell + 900);
     FaultModel faults_b(fault_config, cell + 900);
-    const SimulationResult fresh = simulate_with_faults(
-        instance, fresh_truth, fresh_strategy, 50, rng_a, faults_a);
+    const SimulationResult fresh = simulate(instance, fresh_truth,
+                                            fresh_strategy, 50, rng_a,
+                                            {.faults = &faults_a});
 
     SimulationResult out;
     AttackerView& view = ws.reset_view(instance);
-    simulate_with_faults_into(instance, pooled_truth, *pooled, 50, rng_b,
-                              faults_b, view, ws, out);
+    simulate_into(instance, pooled_truth, *pooled, 50, rng_b, view, ws, out,
+                  {.faults = &faults_b});
     expect_same(fresh, out, "cell " + std::to_string(cell));
   }
 }

@@ -1,5 +1,5 @@
 // Tests for the unreliable-platform layer: FaultConfig validation, the
-// FaultModel stream, fault handling in simulate_with_faults (abandonment,
+// FaultModel stream, fault handling under SimOptions::faults (abandonment,
 // suspension accounting, retry bookkeeping), the RetryingStrategy
 // decorator, and the golden determinism guarantees — zero faults is
 // byte-identical to the pristine simulator, and faulted sweeps reproduce
@@ -166,8 +166,8 @@ TEST(SimulateWithFaultsTest, ZeroFaultsIsByteIdenticalToSimulate) {
         simulate(instance, truth, *pristine, 40, rng_a);
     FaultModel no_faults(FaultConfig{}, 1234);
     util::Rng rng_b(77);
-    const SimulationResult actual = simulate_with_faults(
-        instance, truth, *pristine, 40, rng_b, no_faults);
+    const SimulationResult actual = simulate(
+        instance, truth, *pristine, 40, rng_b, {.faults = &no_faults});
     SCOPED_TRACE(pristine->name());
     expect_identical(expected, actual);
     EXPECT_EQ(actual.num_faulted, 0u);
@@ -192,7 +192,7 @@ TEST(SimulateWithFaultsTest, RetryWrapIsNoOpWithoutFaults) {
   FaultModel no_faults(FaultConfig{}, 9);
   util::Rng rng_b(5);
   const SimulationResult actual =
-      simulate_with_faults(instance, truth, wrapped, 40, rng_b, no_faults);
+      simulate(instance, truth, wrapped, 40, rng_b, {.faults = &no_faults});
   expect_identical(expected, actual);
 }
 
@@ -207,7 +207,7 @@ TEST(SimulateWithFaultsTest, BareStrategyAbandonsEveryFault) {
   ScriptedStrategy strategy({0, 1, 3});
   util::Rng rng(1);
   const SimulationResult result =
-      simulate_with_faults(instance, truth, strategy, 10, rng, faults);
+      simulate(instance, truth, strategy, 10, rng, {.faults = &faults});
   // Three targets, each dropped once and written off; the strategy then
   // has nothing left and stops.
   ASSERT_EQ(result.trace.size(), 3u);
@@ -234,7 +234,7 @@ TEST(SimulateWithFaultsTest, RateLimitSuspendsAndBudgetKeepsTicking) {
   ScriptedStrategy strategy({0, 1, 3});
   util::Rng rng(1);
   const SimulationResult result =
-      simulate_with_faults(instance, truth, strategy, 5, rng, faults);
+      simulate(instance, truth, strategy, 5, rng, {.faults = &faults});
   // Round 1: request 0, rate-limited.  Rounds 2-4: suspension stalls.
   // Round 5: request 1, rate-limited.  Budget exhausted.
   ASSERT_EQ(result.trace.size(), 5u);
@@ -258,7 +258,7 @@ TEST(SimulateWithFaultsTest, SuspensionTruncatesAtBudget) {
   ScriptedStrategy strategy({0});
   util::Rng rng(1);
   const SimulationResult result =
-      simulate_with_faults(instance, truth, strategy, 4, rng, faults);
+      simulate(instance, truth, strategy, 4, rng, {.faults = &faults});
   ASSERT_EQ(result.trace.size(), 4u);  // 1 fault + 3 stalls, then budget out
   EXPECT_EQ(result.rounds_suspended, 3u);
 }
@@ -274,7 +274,7 @@ TEST(RetryingStrategyTest, RetriesThenAbandonsAfterPolicyExhausted) {
       util::RetryPolicy::fixed(/*retries=*/2, /*every=*/1));
   util::Rng rng(1);
   const SimulationResult result =
-      simulate_with_faults(instance, truth, strategy, 10, rng, faults);
+      simulate(instance, truth, strategy, 10, rng, {.faults = &faults});
   // Attempt 0 faults, two retries fault, then the policy gives up.
   ASSERT_EQ(result.trace.size(), 3u);
   EXPECT_EQ(result.trace[0].attempt, 0u);
@@ -305,7 +305,7 @@ TEST(RetryingStrategyTest, RetryRecoversBenefitUnderFaults) {
       FaultModel faults(config, 500 + run);
       util::Rng rng(run);
       const SimulationResult r =
-          simulate_with_faults(instance, truth, bare, 60, rng, faults);
+          simulate(instance, truth, bare, 60, rng, {.faults = &faults});
       abandoned_bare.add(r.num_abandoned);
       benefit_bare.add(r.total_benefit);
     }
@@ -315,7 +315,7 @@ TEST(RetryingStrategyTest, RetryRecoversBenefitUnderFaults) {
       FaultModel faults(config, 500 + run);
       util::Rng rng(run);
       const SimulationResult r =
-          simulate_with_faults(instance, truth, retrying, 60, rng, faults);
+          simulate(instance, truth, retrying, 60, rng, {.faults = &faults});
       abandoned_retry.add(r.num_abandoned);
       benefit_retry.add(r.total_benefit);
       EXPECT_GT(r.num_retries, 0u);
@@ -343,7 +343,7 @@ TEST(FaultedDeterminismTest, SameSeedSameFaultConfigSameTrace) {
                               util::RetryPolicy::exponential_jitter(3));
     FaultModel faults(config, 11);
     util::Rng rng(8);
-    return simulate_with_faults(instance, truth, strategy, 50, rng, faults);
+    return simulate(instance, truth, strategy, 50, rng, {.faults = &faults});
   };
   expect_identical(run_once(), run_once());
 }

@@ -141,10 +141,6 @@ std::vector<NamedFactory> all_strategies() {
                    return std::make_unique<BatchedAbmStrategy>(
                        PotentialWeights{0.5, 0.5}, 5);
                  }});
-  out.push_back({"BatchedABM-scalar", [] {
-                   return std::make_unique<BatchedAbmStrategy>(
-                       PotentialWeights{0.5, 0.5}, 5, /*flat_scoring=*/false);
-                 }});
   out.push_back({"Lookahead", [] {
                    LookaheadStrategy::Config config;
                    config.beam = 4;
@@ -272,7 +268,7 @@ TEST(FeedbackEquivalenceTest, FullFeedbackMatchesLegacyLoopForAllStrategies) {
           reference_simulate(instance, truth, *legacy, 40, rng_a);
       const SimulationResult b =
           simulate(instance, truth, *refactored, 40, rng_b,
-                   /*cancel=*/nullptr, FeedbackModel{});
+                   {.feedback = FeedbackModel{}});
       expect_same(a, b, factory.name + " world " + std::to_string(world));
     }
   }
@@ -294,8 +290,8 @@ TEST(FeedbackEquivalenceTest, DegenerateParametersShareTheFullPath) {
     for (const FeedbackModel& model : degenerate) {
       auto strategy = factory.make();
       util::Rng rng(9);
-      const SimulationResult got = simulate(instance, truth, *strategy, 40,
-                                            rng, /*cancel=*/nullptr, model);
+      const SimulationResult got =
+          simulate(instance, truth, *strategy, 40, rng, {.feedback = model});
       expect_same(expected, got, factory.name + " " + model.spec());
     }
   }
@@ -345,10 +341,11 @@ TEST(FeedbackSemanticsTest, MyopicViewNeverObservesANeighborhood) {
   const Realization truth = Realization::sample(instance, truth_rng);
   MyopicProbeStrategy probe;
   util::Rng rng(6);
-  AttackerView view(instance);
-  const SimulationResult result = simulate_with_view(
-      instance, truth, probe, 30, rng, view, /*cancel=*/nullptr,
-      FeedbackModel{FeedbackKind::kMyopic, 0});
+  SimWorkspace ws;
+  AttackerView& view = ws.reset_view(instance);
+  SimulationResult result;
+  simulate_into(instance, truth, probe, 30, rng, view, ws, result,
+                {.feedback = FeedbackModel{FeedbackKind::kMyopic, 0}});
   EXPECT_GT(result.num_accepted, 0u);  // the probe did accept people
   EXPECT_EQ(view.num_observed_edges(), 0u);
   EXPECT_EQ(view.pending_revelations(), 0u);  // myopic queues nothing
@@ -376,17 +373,18 @@ TEST(FeedbackSemanticsTest, DelayedBeyondBudgetObservesLikeMyopic) {
 
   MaxDegreeStrategy a;
   util::Rng rng_a(3);
+  SimWorkspace ws;
   AttackerView view_delayed(instance);
-  const SimulationResult delayed = simulate_with_view(
-      instance, truth, a, budget, rng_a, view_delayed, nullptr,
-      FeedbackModel{FeedbackKind::kDelayed, 1000});
+  SimulationResult delayed;
+  simulate_into(instance, truth, a, budget, rng_a, view_delayed, ws, delayed,
+                {.feedback = FeedbackModel{FeedbackKind::kDelayed, 1000}});
 
   MaxDegreeStrategy b;
   util::Rng rng_b(3);
   AttackerView view_myopic(instance);
-  const SimulationResult myopic = simulate_with_view(
-      instance, truth, b, budget, rng_b, view_myopic, nullptr,
-      FeedbackModel{FeedbackKind::kMyopic, 0});
+  SimulationResult myopic;
+  simulate_into(instance, truth, b, budget, rng_b, view_myopic, ws, myopic,
+                {.feedback = FeedbackModel{FeedbackKind::kMyopic, 0}});
 
   expect_same(delayed, myopic, "delayed:1000 vs myopic");
   EXPECT_EQ(view_delayed.num_observed_edges(), 0u);
@@ -453,9 +451,11 @@ TEST(FeedbackSemanticsTest, ObservedAndTrueLayersStayConsistent) {
     SCOPED_TRACE(model.spec());
     AbmStrategy abm(0.5, 0.5);
     util::Rng rng(8);
-    AttackerView view(instance);
-    const SimulationResult result = simulate_with_view(
-        instance, truth, abm, 40, rng, view, nullptr, model);
+    SimWorkspace ws;
+    AttackerView& view = ws.reset_view(instance);
+    SimulationResult result;
+    simulate_into(instance, truth, abm, 40, rng, view, ws, result,
+                  {.feedback = model});
 
     // Observed layer: the incremental benefit equals an O(V) recompute
     // from the observed state alone.
@@ -513,9 +513,9 @@ TEST(FeedbackEquivalenceTest, IncrementalAbmMatchesScalarOracleUnderAllModels) {
       util::Rng rng_a(world * 13 + 1);
       util::Rng rng_b(world * 13 + 1);
       const SimulationResult a = simulate(instance, truth, incremental, 40,
-                                          rng_a, nullptr, model);
+                                          rng_a, {.feedback = model});
       const SimulationResult b =
-          simulate(instance, truth, scalar, 40, rng_b, nullptr, model);
+          simulate(instance, truth, scalar, 40, rng_b, {.feedback = model});
       expect_same(a, b,
                   model.spec() + " world " + std::to_string(world));
     }
@@ -535,10 +535,11 @@ TEST(FeedbackEquivalenceTest, AllStrategiesRunUnderDeferredModelsWithFaults) {
     auto strategy = factory.make();
     util::Rng rng(19);
     FaultModel faults(fault_config, 23);
-    AttackerView view(instance);
-    const SimulationResult result =
-        simulate_with_faults(instance, truth, *strategy, 50, rng, faults,
-                             view, nullptr, model);
+    SimWorkspace ws;
+    AttackerView& view = ws.reset_view(instance);
+    SimulationResult result;
+    simulate_into(instance, truth, *strategy, 50, rng, view, ws, result,
+                  {.faults = &faults, .feedback = model});
     SCOPED_TRACE(factory.name);
     ASSERT_NEAR(view.current_benefit(), view.recompute_benefit(), 1e-9);
     EXPECT_DOUBLE_EQ(result.total_benefit, view.true_benefit());
@@ -563,8 +564,8 @@ TEST(FeedbackEquivalenceTest, WorkspaceReuseAcrossModelsStaysBitIdentical) {
   {
     util::Rng rng(4);
     AttackerView& view = ws.reset_view(instance);
-    simulate_into(instance, truth, abm, 30, rng, view, ws, middle, nullptr,
-                  FeedbackModel{FeedbackKind::kDelayed, 3});
+    simulate_into(instance, truth, abm, 30, rng, view, ws, middle,
+                  {.feedback = FeedbackModel{FeedbackKind::kDelayed, 3}});
   }
   {
     util::Rng rng(4);
@@ -580,7 +581,7 @@ TEST(FeedbackEquivalenceTest, WorkspaceReuseAcrossModelsStaysBitIdentical) {
     util::Rng rng(4);
     AttackerView& view = fresh.reset_view(instance);
     simulate_into(instance, truth, abm2, 30, rng, view, fresh, expected,
-                  nullptr, FeedbackModel{FeedbackKind::kDelayed, 3});
+                  {.feedback = FeedbackModel{FeedbackKind::kDelayed, 3}});
     expect_same(expected, middle, "deferred cell, pooled vs fresh");
   }
 }

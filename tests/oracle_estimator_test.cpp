@@ -78,9 +78,7 @@ TEST(ClairvoyantTest, RealizedGainMatchesSimulatedMarginal) {
   const Realization truth = Realization::sample(instance, rng);
   ClairvoyantGreedyStrategy oracle(truth);
   util::Rng srng(22);
-  AttackerView view(instance);
-  const SimulationResult result =
-      simulate_with_view(instance, truth, oracle, 10, srng, view);
+  const SimulationResult result = simulate(instance, truth, oracle, 10, srng);
   // Replay: each record's marginal equals realized_gain evaluated just
   // before the request.
   AttackerView replay(instance);

@@ -150,18 +150,6 @@ TEST(ExperimentCellParallelTest, LookaheadTraceIdenticalForAnyCellThreads) {
   });
 }
 
-TEST(ExperimentCellParallelTest,
-     LookaheadScalarTwinTraceIdenticalForAnyCellThreads) {
-  const AccuInstance instance = make_test_instance(6);
-  expect_trace_identical_across_widths(instance, [] {
-    LookaheadStrategy::Config config;
-    config.beam = 5;
-    config.scenario_samples = 2;
-    config.flat_scoring = false;  // scalar twin must parallelize identically
-    return LookaheadStrategy(config);
-  });
-}
-
 TEST(ExperimentCellParallelTest, BatchedTraceIdenticalForAnyCellThreads) {
   // Large enough that score_batch_all actually chunks across the pool
   // (chunking starts at 2 * 256 candidates).

@@ -7,7 +7,7 @@
 
 #include <numeric>
 
-#include "core/simulator.hpp"
+#include "core/engine.hpp"
 #include "core/strategies/baselines.hpp"
 #include "core/theory/set_benefit.hpp"
 #include "graph/generators.hpp"
@@ -149,9 +149,10 @@ TEST(SimulatorTest, ViewOutExposesFinalState) {
   const Realization truth = Realization::certain(instance);
   ScriptedStrategy strategy({1, 3});
   util::Rng rng(7);
-  AttackerView view(instance);
-  const SimulationResult result =
-      simulate_with_view(instance, truth, strategy, 2, rng, view);
+  SimWorkspace ws;
+  AttackerView& view = ws.reset_view(instance);
+  SimulationResult result;
+  simulate_into(instance, truth, strategy, 2, rng, view, ws, result);
   EXPECT_TRUE(view.is_friend(1));
   EXPECT_TRUE(view.is_fof(2));
   EXPECT_DOUBLE_EQ(view.current_benefit(), result.total_benefit);

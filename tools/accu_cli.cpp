@@ -24,9 +24,11 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/defense.hpp"
+#include "core/engine.hpp"
 #include "core/experiment.hpp"
 #include "core/feedback.hpp"
 #include "core/instance_format.hpp"
@@ -286,9 +288,9 @@ int cmd_attack(const util::Options& opts) {
       static_cast<std::uint32_t>(opts.get_int("deadline-ms", 0));
   const auto max_retries =
       static_cast<std::uint32_t>(opts.get_int("max-cell-retries", 0));
-  AttackerView view(instance);
+  SimWorkspace ws;
+  const AttackerView* final_view = nullptr;
   SimulationResult result;
-  bool finished = false;
   for (std::uint32_t attempt = 0; attempt <= max_retries; ++attempt) {
     util::CancelToken token;
     if (deadline_ms > 0) {
@@ -296,17 +298,18 @@ int cmd_attack(const util::Options& opts) {
     }
     util::Rng attempt_rng = attempt == 0 ? rng : rng.split(1000 + attempt);
     util::Rng policy_rng = attempt_rng.split(1);
-    view = AttackerView(instance);
+    AttackerView& attempt_view = ws.reset_view(instance);
+    std::optional<FaultModel> faults;
+    if (faults_config.total_rate() > 0.0) {
+      faults.emplace(faults_config, attempt_rng.split(2)());
+    }
     try {
-      if (faults_config.total_rate() > 0.0) {
-        FaultModel faults(faults_config, attempt_rng.split(2)());
-        result = simulate_with_faults(instance, truth, *policy, k, policy_rng,
-                                      faults, view, &token, feedback);
-      } else {
-        result = simulate_with_view(instance, truth, *policy, k, policy_rng,
-                                    view, &token, feedback);
-      }
-      finished = true;
+      simulate_into(instance, truth, *policy, k, policy_rng, attempt_view, ws,
+                    result,
+                    {.faults = faults ? &*faults : nullptr,
+                     .cancel = &token,
+                     .feedback = feedback});
+      final_view = &attempt_view;
       break;
     } catch (const util::CancelledError&) {
       if (attempt < max_retries) {
@@ -317,13 +320,14 @@ int cmd_attack(const util::Options& opts) {
       }
     }
   }
-  if (!finished) {
+  if (final_view == nullptr) {
     std::fprintf(stderr,
                  "attack: every attempt exceeded --deadline-ms=%u "
                  "(%u attempts); raise the deadline or --max-cell-retries\n",
                  deadline_ms, max_retries + 1);
     return util::exit_code::kFailure;
   }
+  const AttackerView& view = *final_view;
   std::printf("%s, budget %u: benefit %.1f, friends %u (cautious %u)\n",
               policy->name().c_str(), k, result.total_benefit,
               result.num_accepted, result.num_cautious_friends);
