@@ -519,7 +519,7 @@ KernelTimings measure_kernels(const AccuInstance& instance) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-ISA kernel timings: the three raw score_simd kernels plus the two
+// Per-ISA kernel timings: the two raw score_simd kernels plus the two
 // composite paths built on them, re-measured under each supported kernel
 // table.  All tables are bit-identical by contract (score_simd.hpp), so
 // these rows differ only in speed.
@@ -528,7 +528,6 @@ KernelTimings measure_kernels(const AccuInstance& instance) {
 struct IsaKernelTimings {
   const char* isa = "";
   double row_gather_mul_ns = 0.0;     // per slot, 4096-slot synthetic row
-  double row_sum_ns = 0.0;            // per slot, 4096-slot synthetic row
   double bernoulli_pack_ns = 0.0;     // per draw, 32768-draw batch
   double batched_rescore_ns = 0.0;    // per candidate (prepare + ranged)
   double realization_sample_ns = 0.0; // per pooled full resample
@@ -560,15 +559,6 @@ IsaKernelTimings measure_isa_kernels(const AccuInstance& instance,
     });
     benchmark::DoNotOptimize(sink);
     t.row_gather_mul_ns = s * 1e9 / static_cast<double>(iters * slots);
-  }
-  {
-    double sink = 0.0;
-    const std::uint64_t iters = 40000;
-    const double s = measure_seconds(500, iters, [&](std::uint64_t) {
-      sink += k.row_sum(values.data(), 0, slots);
-    });
-    benchmark::DoNotOptimize(sink);
-    t.row_sum_ns = s * 1e9 / static_cast<double>(iters * slots);
   }
   {
     const std::size_t draws = 32768;
@@ -661,7 +651,6 @@ int run_json_mode(const char* path) {
     append_fmt(json, "    \"%s\": {\n", t.isa);
     append_fmt(json, "      \"row_gather_mul_ns\": %.3f,\n",
                t.row_gather_mul_ns);
-    append_fmt(json, "      \"row_sum_ns\": %.3f,\n", t.row_sum_ns);
     append_fmt(json, "      \"bernoulli_pack_ns\": %.3f,\n",
                t.bernoulli_pack_ns);
     append_fmt(json, "      \"batched_rescore_ns_per_candidate\": %.2f,\n",

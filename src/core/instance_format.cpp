@@ -419,8 +419,9 @@ AccuInstance read_instance_binary_file(const std::string& path) {
     if ((h.flags & fmt::kFlagPackTables) != 0) {
       // CRCs prove the tables arrived intact, not that they are *right*: a
       // crafted or buggy-writer file can be CRC-consistent and still carry
-      // tables that break the engine (ScoreEngine writes through
-      // contrib[mirror[s]] unchecked, and reset() forms 1/slot_theta[s]).
+      // wrong tables.  No scoring path reads mirror or slot_theta any more,
+      // but ScorePack adopts them and the .accui writer re-emits them, so a
+      // bad table would spread to every file packed from this instance.
       // One O(2m) pass re-establishes the structural invariants against the
       // CSR that Graph::from_csr just validated; the d_init/i_gain payloads
       // are additionally required to be finite (reckless slots exactly

@@ -12,6 +12,19 @@ namespace accu {
 
 namespace {
 constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+
+/// Calls f(v) for every cautious v, in id order, walking the bitset words
+/// instead of all n nodes.
+template <class F>
+void for_each_cautious(const ScorePack& pack, F&& f) {
+  const std::span<const std::uint64_t> words = pack.cautious_words();
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      f(static_cast<NodeId>((w << 6) +
+                            static_cast<unsigned>(std::countr_zero(bits))));
+    }
+  }
+}
 }  // namespace
 
 void ScorePack::build(const AccuInstance& instance) {
@@ -144,26 +157,16 @@ void score_batch_prepare(const ScorePack& pack, const AttackerView& view,
         (rs[v] != RequestState::kAccepted) & (mutual[v] == 0));
   }
 
-  // P_I reciprocal gaps: only cautious nodes can carry one, so walk the
-  // cautious bitset words instead of all n nodes.
+  // P_I reciprocal gaps: only cautious nodes can carry one.
   if (want_indirect) {
     scratch.inv_gap.assign(n, 0.0);
     double* inv_gap = scratch.inv_gap.data();
-    const std::span<const std::uint64_t> words = pack.cautious_words();
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      std::uint64_t bits = words[w];
-      while (bits != 0) {
-        const NodeId v = static_cast<NodeId>(
-            (w << 6) + static_cast<unsigned>(std::countr_zero(bits)));
-        bits &= bits - 1;
-        if (rs[v] != RequestState::kUnknown) continue;  // spent or rejected
-        const std::uint32_t theta = pack.theta(v);
-        const std::uint32_t m = mutual[v];
-        if (m < theta) {
-          inv_gap[v] = 1.0 / static_cast<double>(theta - m);
-        }
-      }
-    }
+    for_each_cautious(pack, [&](NodeId v) {
+      if (rs[v] != RequestState::kUnknown) return;  // spent or rejected
+      const std::uint32_t theta = pack.theta(v);
+      const std::uint32_t m = mutual[v];
+      if (m < theta) inv_gap[v] = 1.0 / static_cast<double>(theta - m);
+    });
   } else {
     scratch.inv_gap.resize(n);  // keep sized for the ranged call's pointers
   }
@@ -264,27 +267,21 @@ void ScoreEngine::reset(const ScorePack& pack,
   weights_ = weights;
   maintain_indirect_ = weights.indirect > 0.0;
 
-  const std::span<const double> d_init = pack.d_init_all();
-  contrib_d_.assign(d_init.begin(), d_init.end());
-  if (maintain_indirect_) {
-    const std::span<const double> i_gain = pack.i_gain_all();
-    const std::span<const std::uint32_t> theta = pack.slot_theta_all();
-    contrib_i_.resize(i_gain.size());
-    for (std::size_t s = 0; s < i_gain.size(); ++s) {
-      // Blank state: mutual = 0, denominator = θ_v.  Reciprocal form
-      // (numerator · 1/gap) — the canonical P_I operation order shared
-      // with score_batch and the scalar reference.
-      contrib_i_[s] = i_gain[s] == 0.0
-                          ? 0.0
-                          : i_gain[s] * (1.0 / static_cast<double>(theta[s]));
-    }
-  } else {
-    contrib_i_.clear();
-  }
-
   const NodeId n = pack.num_nodes();
+  active_.assign(n, 1.0);
+  if (maintain_indirect_) {
+    // Blank state: mutual = 0, so every cautious gap is θ_v (reckless
+    // entries stay exactly 0.0).  Reciprocal form (numerator · 1/gap) — the
+    // canonical P_I operation order shared with score_batch and the scalar
+    // reference.
+    inv_gap_.assign(n, 0.0);
+    for_each_cautious(pack, [&](NodeId v) {
+      inv_gap_[v] = 1.0 / static_cast<double>(pack.theta(v));
+    });
+  } else {
+    inv_gap_.clear();
+  }
   mutual_.assign(n, 0);
-  fof_.assign(n, 0);
   requested_.assign(n, 0);
   dirty_.assign(n, 0);
   eager_.clear();
@@ -303,16 +300,19 @@ double ScoreEngine::score(NodeId u) const {
   if (q <= 0.0) return 0.0;
   const std::uint32_t s0 = pack.row_begin(u);
   const std::uint32_t s1 = pack.row_begin(u + 1);
-  // Canonical lane-order row sums (score_simd.hpp): contrib_d_[s] is
-  // exactly d_init[s]·mask and contrib_i_[s] exactly i_gain[s]·inv_gap, so
-  // these reductions are bit-identical to score_batch's gathers.
+  // The same canonical lane-order gathers as score_batch (score_simd.hpp),
+  // over the engine's own node tables.
   const simd::ScoreKernels& kernels = simd::kernels();
+  const NodeId* nodes = pack.slot_nodes_all().data();
   double direct = pack.friend_benefit(u);
-  if (fof_[u] != 0) direct -= pack.fof_benefit(u);
-  direct += kernels.row_sum(contrib_d_.data(), s0, s1);
+  if (active_[u] == 0.0) direct -= pack.fof_benefit(u);  // un-requested ⇒ FOF
+  direct += kernels.row_gather_mul(pack.d_init_all().data(), nodes,
+                                   active_.data(), s0, s1);
   double value = weights_.direct * direct;
-  if (weights_.indirect > 0.0 && !cautious) {
-    value += weights_.indirect * kernels.row_sum(contrib_i_.data(), s0, s1);
+  if (maintain_indirect_ && !cautious) {
+    value += weights_.indirect *
+             kernels.row_gather_mul(pack.i_gain_all().data(), nodes,
+                                    inv_gap_.data(), s0, s1);
   }
   return q * value;
 }
@@ -323,41 +323,52 @@ void ScoreEngine::add_eager(NodeId u) {
   eager_.push_back(u);
 }
 
-void ScoreEngine::apply_acceptance(
-    NodeId target, const AttackerView::AcceptanceEffects& effects) {
+void ScoreEngine::mark_row_dirty(NodeId v) {
   const ScorePack& pack = *pack_;
+  const std::uint32_t s1 = pack.row_begin(v + 1);
+  for (std::uint32_t s = pack.row_begin(v); s < s1; ++s) {
+    mark_dirty(pack.slot_node(s));
+  }
+}
+
+void ScoreEngine::begin_event() {
   ++eager_round_;
   eager_.clear();
+}
+
+void ScoreEngine::apply_acceptance(
+    NodeId target, const AttackerView::AcceptanceEffects& effects) {
+  begin_event();
   requested_[target] = 1;
+  // The new friend leaves every neighbor's P_D sum (friend skip) and P_I
+  // sum (requested skip).
+  active_[target] = 0.0;
+  if (maintain_indirect_) inv_gap_[target] = 0.0;
+  mark_row_dirty(target);
+  fold_effects(effects);
+}
 
-  // (1) The new friend leaves every neighbor's P_D sum (friend skip) and
-  //     P_I sum (requested skip): zero the mirror slots of target's row.
-  {
-    const std::uint32_t s0 = pack.row_begin(target);
-    const std::uint32_t s1 = pack.row_begin(target + 1);
-    for (std::uint32_t s = s0; s < s1; ++s) {
-      const std::uint32_t m = pack.mirror(s);
-      contrib_d_[m] = 0.0;
-      if (maintain_indirect_) contrib_i_[m] = 0.0;
-      mark_dirty(pack.slot_node(s));
-    }
-  }
+void ScoreEngine::apply_revelation(
+    const AttackerView::AcceptanceEffects& effects) {
+  // The source's own terms left every sum when its acceptance was observed.
+  begin_event();
+  fold_effects(effects);
+}
 
-  // (2) Nodes entering FOF: their (1 − 1_FOF) factor vanishes from every
-  //     neighbor's P_D sum, and their own head gains the −B_fof term.
+void ScoreEngine::fold_effects(
+    const AttackerView::AcceptanceEffects& effects) {
+  const ScorePack& pack = *pack_;
+
+  // Nodes entering FOF: their (1 − 1_FOF) factor vanishes from every
+  // neighbor's P_D sum, and their own head gains the −B_fof term.
   for (const NodeId w : effects.new_fof) {
-    fof_[w] = 1;
+    active_[w] = 0.0;
     mark_dirty(w);
-    const std::uint32_t s0 = pack.row_begin(w);
-    const std::uint32_t s1 = pack.row_begin(w + 1);
-    for (std::uint32_t s = s0; s < s1; ++s) {
-      contrib_d_[pack.mirror(s)] = 0.0;
-      mark_dirty(pack.slot_node(s));
-    }
+    mark_row_dirty(w);
   }
 
-  // (3) Mutual-count advances.  Only cautious users carry θ-dependent
-  //     state; the FOF consequences of a first mutual friend are case (2).
+  // Mutual-count advances.  Only cautious users carry θ-dependent state;
+  // the FOF consequences of a first mutual friend are the loop above.
   for (const NodeId v : effects.mutual_increased) {
     ++mutual_[v];
     if (requested_[v] != 0 || !pack.is_cautious(v)) continue;
@@ -369,92 +380,31 @@ void ScoreEngine::apply_acceptance(
       // neighbors' P_I sums.
       add_eager(v);
       if (maintain_indirect_) {
-        const std::uint32_t s0 = pack.row_begin(v);
-        const std::uint32_t s1 = pack.row_begin(v + 1);
-        for (std::uint32_t s = s0; s < s1; ++s) {
-          contrib_i_[pack.mirror(s)] = 0.0;
-          mark_dirty(pack.slot_node(s));
-        }
+        inv_gap_[v] = 0.0;
+        mark_row_dirty(v);
       }
     } else if (m < theta && maintain_indirect_) {
       // Denominator θ_v − m shrank: every neighbor's P_I term for v grows —
-      // recompute those terms and re-score the owners eagerly.
-      const double inv_gap = 1.0 / static_cast<double>(theta - m);
-      const std::uint32_t s0 = pack.row_begin(v);
+      // re-score the owners eagerly.
+      inv_gap_[v] = 1.0 / static_cast<double>(theta - m);
       const std::uint32_t s1 = pack.row_begin(v + 1);
-      for (std::uint32_t s = s0; s < s1; ++s) {
-        const std::uint32_t ms = pack.mirror(s);
-        contrib_i_[ms] = pack.i_gain(ms) * inv_gap;
+      for (std::uint32_t s = pack.row_begin(v); s < s1; ++s) {
         add_eager(pack.slot_node(s));
       }
     }
-    // m > θ: crossed earlier — terms already zero, q already q2.
-  }
-}
-
-void ScoreEngine::apply_revelation(
-    const AttackerView::AcceptanceEffects& effects) {
-  const ScorePack& pack = *pack_;
-  ++eager_round_;
-  eager_.clear();
-
-  // Cases (2) and (3) of apply_acceptance, verbatim: the revelation's
-  // new-FOF entries and mutual advances.  Case (1) — deactivating the
-  // accepted target's own slots — ran when the acceptance was observed.
-  for (const NodeId w : effects.new_fof) {
-    fof_[w] = 1;
-    mark_dirty(w);
-    const std::uint32_t s0 = pack.row_begin(w);
-    const std::uint32_t s1 = pack.row_begin(w + 1);
-    for (std::uint32_t s = s0; s < s1; ++s) {
-      contrib_d_[pack.mirror(s)] = 0.0;
-      mark_dirty(pack.slot_node(s));
-    }
-  }
-
-  for (const NodeId v : effects.mutual_increased) {
-    ++mutual_[v];
-    if (requested_[v] != 0 || !pack.is_cautious(v)) continue;
-    const std::uint32_t theta = pack.theta(v);
-    const std::uint32_t m = mutual_[v];
-    if (m == theta) {
-      add_eager(v);
-      if (maintain_indirect_) {
-        const std::uint32_t s0 = pack.row_begin(v);
-        const std::uint32_t s1 = pack.row_begin(v + 1);
-        for (std::uint32_t s = s0; s < s1; ++s) {
-          contrib_i_[pack.mirror(s)] = 0.0;
-          mark_dirty(pack.slot_node(s));
-        }
-      }
-    } else if (m < theta && maintain_indirect_) {
-      const double inv_gap = 1.0 / static_cast<double>(theta - m);
-      const std::uint32_t s0 = pack.row_begin(v);
-      const std::uint32_t s1 = pack.row_begin(v + 1);
-      for (std::uint32_t s = s0; s < s1; ++s) {
-        const std::uint32_t ms = pack.mirror(s);
-        contrib_i_[ms] = pack.i_gain(ms) * inv_gap;
-        add_eager(pack.slot_node(s));
-      }
-    }
+    // m > θ: crossed earlier — table entry already zero, q already q2.
   }
 }
 
 void ScoreEngine::apply_rejection(NodeId target) {
-  const ScorePack& pack = *pack_;
-  ++eager_round_;
-  eager_.clear();
+  begin_event();
   requested_[target] = 1;
   // A rejection reveals nothing, but a rejected *cautious* target can never
   // be befriended anymore, so it leaves its neighbors' P_I sums.  (Its P_D
-  // terms stay: a rejected node can still become a believed FOF.)
-  if (maintain_indirect_ && pack.is_cautious(target)) {
-    const std::uint32_t s0 = pack.row_begin(target);
-    const std::uint32_t s1 = pack.row_begin(target + 1);
-    for (std::uint32_t s = s0; s < s1; ++s) {
-      contrib_i_[pack.mirror(s)] = 0.0;
-      mark_dirty(pack.slot_node(s));
-    }
+  // term stays: a rejected node can still become a believed FOF.)
+  if (maintain_indirect_ && pack_->is_cautious(target)) {
+    inv_gap_[target] = 0.0;
+    mark_row_dirty(target);
   }
 }
 

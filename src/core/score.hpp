@@ -19,12 +19,14 @@
 //    view's flat spans.  The reckless fast path is a branchless
 //    multiply-mask loop that GCC/Clang can auto-vectorize.
 //
-//  * ScoreEngine — the incremental cache driving AbmStrategy: per-slot
-//    contribution arrays updated by O(1) signed deltas per acceptance
-//    effect, plus per-node dirty bits and an "eager" list (nodes whose
-//    potential may have *increased* and must be re-pushed before the next
-//    selection; everything else is refreshed lazily when it surfaces at the
-//    heap top).  DESIGN.md §11 has the staleness/restore invariants.
+//  * ScoreEngine — the incremental cache driving AbmStrategy: the same two
+//    per-node term tables score_batch builds (P_D mask, P_I reciprocal
+//    gap), updated by one table write per acceptance effect, plus per-node
+//    dirty bits and an "eager" list (nodes whose potential may have
+//    *increased* and must be re-pushed before the next selection;
+//    everything else is refreshed lazily when it surfaces at the heap
+//    top).  reset() is O(n) and no event touches a per-slot array.
+//    DESIGN.md §11 has the staleness/restore invariants.
 //
 // Bit-exactness.  Every result is pinned *exactly* (same doubles) to the
 // scalar reference, which works because of one structural invariant: an
@@ -32,13 +34,14 @@
 // prior p_e — an edge is only ever observed through an accepting endpoint,
 // and an accepted endpoint deactivates every term over that edge (the
 // friend skip for P_D, the requested skip for P_I).  Deactivated terms are
-// stored as exactly 0.0, and adding +0.0 into a non-negative lane
-// accumulator is an exact floating-point no-op, so reducing a row in the
-// canonical stride-4 lane order (score_simd.hpp) reproduces the scalar
-// reference's lanes bit for bit — under any ISA, batch chunking, or thread
-// count.  Property tests (tests/score_test.cpp) enforce this across random
-// instances, cautious/reckless mixes, mid-simulation states, and every
-// supported kernel ISA.
+// multiplied by an exact 0.0 node-table entry (live P_D terms by an exact
+// 1.0), and adding +0.0 into a non-negative lane accumulator is an exact
+// floating-point no-op, so reducing a row in the canonical stride-4 lane
+// order (score_simd.hpp) reproduces the scalar reference's lanes bit for
+// bit — under any ISA, batch chunking, or thread count.  Property tests
+// (tests/score_test.cpp) enforce this across random instances,
+// cautious/reckless mixes, mid-simulation states, and every supported
+// kernel ISA.
 //
 // Precondition: views handed to these kernels must have evolved through
 // record_acceptance/record_rejection only (every view in this codebase
@@ -108,7 +111,9 @@ class ScorePack {
   /// Neighbor id of slot s (same order as Graph::neighbors).
   [[nodiscard]] NodeId slot_node(std::uint32_t s) const { return adj_node_[s]; }
   /// The reverse slot: the entry in slot_node(s)'s row pointing back over
-  /// the same undirected edge.  mirror(mirror(s)) == s.
+  /// the same undirected edge.  mirror(mirror(s)) == s.  No scoring path
+  /// reads it; it (like slot_theta) is kept for the .accui writer, which
+  /// re-emits the pack's slot tables.
   [[nodiscard]] std::uint32_t mirror(std::uint32_t s) const {
     return mirror_[s];
   }
@@ -213,17 +218,20 @@ void score_batch_all(const ScorePack& pack, const AttackerView& view,
 
 /// Incremental potential cache for one running simulation.
 ///
-/// Holds each node's P_D / P_I sums as per-slot contribution arrays (so a
-/// delta touches O(1) doubles per affected slot, and a refresh re-sums the
-/// row in CSR order — which is what keeps refreshed values bit-identical to
-/// a scalar rescan).  Event handlers mirror AttackerView's acceptance
-/// effects:
+/// Holds the live P_D / P_I terms as two per-node tables — active_[v] (1.0
+/// while v's P_D term is live, 0.0 once v is a friend or FOF) and
+/// inv_gap_[v] (1/(θ_v − m_v) while v's P_I term is live, 0.0 otherwise) —
+/// so an event writes one table entry per affected node, and a refresh
+/// re-gathers the row in CSR order with the row_gather_mul kernel, which is
+/// what keeps refreshed values bit-identical to a scalar rescan.  reset()
+/// is O(n) (the inv_gap pass walks only the cautious bitset).  Event
+/// handlers mirror AttackerView's acceptance effects:
 ///
-///   apply_acceptance(t): t's mirror slots leave every neighbor's P_D and
-///     P_I sums; nodes entering FOF leave their neighbors' P_D sums; mutual
-///     increases at cautious v either shrink v's neighbors' P_I
-///     denominators (potential ↑ — eager) or cross θ_v (q(v) jumps q1→q2 —
-///     eager — and v leaves its neighbors' P_I sums).
+///   apply_acceptance(t): t leaves every neighbor's P_D and P_I sums; nodes
+///     entering FOF leave their neighbors' P_D sums; mutual increases at
+///     cautious v either shrink v's reciprocal gap (neighbors' potential ↑
+///     — eager) or cross θ_v (q(v) jumps q1→q2 — eager — and v leaves its
+///     neighbors' P_I sums).
 ///   apply_rejection(t): a rejected *cautious* t leaves its neighbors' P_I
 ///     sums (reachable only under the generalized q1 > 0 model).
 ///
@@ -255,10 +263,10 @@ class ScoreEngine {
   /// Folds a late neighborhood revelation (deferred FeedbackModel) into
   /// the caches; effects must be the ones
   /// AttackerView::deliver_next_revelation produced.  This is exactly the
-  /// new_fof / mutual_increased half of apply_acceptance — the
-  /// target-deactivation half already ran at acceptance time (the
+  /// new_fof / mutual_increased half of apply_acceptance (fold_effects) —
+  /// the target-deactivation half already ran at acceptance time (the
   /// acceptance itself is immediate feedback in every model), which is
-  /// what keeps the engine's mirrors in lockstep with the *observed* view
+  /// what keeps the engine's tables in lockstep with the *observed* view
   /// and preserves the bit-exactness invariant: an edge is observed and
   /// its terms deactivated in the same delivery event.
   void apply_revelation(const AttackerView::AcceptanceEffects& effects);
@@ -284,23 +292,33 @@ class ScoreEngine {
   }
 
  private:
+  /// Opens a new apply_* batch: clears the eager list and advances its
+  /// dedup stamp.
+  void begin_event();
+  /// The new_fof / mutual_increased half shared by apply_acceptance and
+  /// apply_revelation.
+  void fold_effects(const AttackerView::AcceptanceEffects& effects);
   void add_eager(NodeId u);
   void mark_dirty(NodeId u) {
     if (requested_[u] == 0) dirty_[u] = 1;
   }
+  /// Marks every neighbor of v dirty (v's term left their sums).
+  void mark_row_dirty(NodeId v);
 
   const ScorePack* pack_ = nullptr;
   PotentialWeights weights_{};
   bool maintain_indirect_ = false;
 
-  // Per-slot live term values: exactly the scalar term while active, 0.0
-  // once deactivated.
-  std::vector<double> contrib_d_;
-  std::vector<double> contrib_i_;
+  // Per-node live-term tables: for every slot s, the scalar term equals
+  // d_init(s)·active_[slot_node(s)] and i_gain(s)·inv_gap_[slot_node(s)]
+  // exactly (deactivated terms multiply to +0.0).  inv_gap_ is kept only
+  // while maintain_indirect_.  For un-requested u, active_[u] == 0.0 iff u
+  // is a FOF.
+  std::vector<double> active_;
+  std::vector<double> inv_gap_;
 
-  // Per-node mirrors of the view state the potential reads.
+  // Per-node copies of the view state the potential reads.
   std::vector<std::uint32_t> mutual_;
-  std::vector<std::uint8_t> fof_;
   std::vector<std::uint8_t> requested_;
 
   std::vector<std::uint8_t> dirty_;

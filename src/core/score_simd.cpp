@@ -36,23 +36,6 @@ double row_gather_mul_scalar(const double* values, const NodeId* nodes,
   return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
 }
 
-double row_sum_scalar(const double* values, std::uint32_t s0,
-                      std::uint32_t s1) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  std::uint32_t s = s0;
-  for (; s + 4 <= s1; s += 4) {
-    l0 += values[s];
-    l1 += values[s + 1];
-    l2 += values[s + 2];
-    l3 += values[s + 3];
-  }
-  double lanes[4] = {l0, l1, l2, l3};
-  for (; s < s1; ++s) {
-    lanes[(s - s0) & 3] += values[s];
-  }
-  return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-}
-
 void bernoulli_pack_scalar(const std::uint64_t* raw, const std::uint64_t* thr,
                            std::size_t n, std::uint64_t* out_words) {
   std::size_t i = 0;
@@ -74,7 +57,7 @@ void bernoulli_pack_scalar(const std::uint64_t* raw, const std::uint64_t* thr,
 }
 
 constexpr ScoreKernels kScalarKernels{Isa::kScalar, &row_gather_mul_scalar,
-                                      &row_sum_scalar, &bernoulli_pack_scalar};
+                                      &bernoulli_pack_scalar};
 
 std::atomic<const ScoreKernels*> g_active{nullptr};
 

@@ -1,13 +1,12 @@
 // The SIMD kernel seam for the score/sampling hot loops (DESIGN.md §16).
 //
-// Three data-parallel kernels sit under the potential stack and the
+// Two data-parallel kernels sit under the potential stack and the
 // realization sampler:
 //
 //   row_gather_mul — Σ_s values[s] · table[nodes[s]] over one CSR row: the
 //     P_D multiply-mask sum (values = d_init, table = active mask) and the
-//     P_I sum (values = i_gain, table = 1/(θ−m) gaps) of `score_batch`.
-//   row_sum        — Σ_s values[s] over a contiguous row: the incremental
-//     engine's refresh over its per-slot contribution arrays.
+//     P_I sum (values = i_gain, table = 1/(θ−m) gaps) of both `score_batch`
+//     and the incremental ScoreEngine's refresh over its node tables.
 //   bernoulli_pack — bits[i] = (raw[i] >> 11) < thr[i], packed 64 per word:
 //     the batched Bernoulli compare of `Realization::resample`
 //     (see util::Rng::bernoulli_threshold for the exactness proof).
@@ -53,8 +52,6 @@ struct ScoreKernels {
   double (*row_gather_mul)(const double* values, const NodeId* nodes,
                            const double* table, std::uint32_t s0,
                            std::uint32_t s1);
-  /// Canonical lane-reduced Σ values[s] for s in [s0, s1).
-  double (*row_sum)(const double* values, std::uint32_t s0, std::uint32_t s1);
   /// out_words bit i = (raw[i] >> 11) < thr[i], LSB-first, for i in [0, n);
   /// tail bits of the last word are zeroed.
   void (*bernoulli_pack)(const std::uint64_t* raw, const std::uint64_t* thr,

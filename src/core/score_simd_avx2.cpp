@@ -39,20 +39,6 @@ double row_gather_mul_avx2(const double* values, const NodeId* nodes,
   return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
 }
 
-double row_sum_avx2(const double* values, std::uint32_t s0, std::uint32_t s1) {
-  __m256d acc = _mm256_setzero_pd();
-  std::uint32_t s = s0;
-  for (; s + 4 <= s1; s += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(values + s));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  for (; s < s1; ++s) {
-    lanes[(s - s0) & 3] += values[s];
-  }
-  return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-}
-
 void bernoulli_pack_avx2(const std::uint64_t* raw, const std::uint64_t* thr,
                          std::size_t n, std::uint64_t* out_words) {
   // (raw >> 11) < thr as a *signed* 64-bit compare: both sides are < 2^53
@@ -86,7 +72,7 @@ void bernoulli_pack_avx2(const std::uint64_t* raw, const std::uint64_t* thr,
 }
 
 constexpr ScoreKernels kAvx2Kernels{Isa::kAvx2, &row_gather_mul_avx2,
-                                    &row_sum_avx2, &bernoulli_pack_avx2};
+                                    &bernoulli_pack_avx2};
 
 }  // namespace
 

@@ -40,22 +40,6 @@ double row_gather_mul_neon(const double* values, const NodeId* nodes,
   return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
 }
 
-double row_sum_neon(const double* values, std::uint32_t s0, std::uint32_t s1) {
-  float64x2_t acc01 = vdupq_n_f64(0.0);
-  float64x2_t acc23 = vdupq_n_f64(0.0);
-  std::uint32_t s = s0;
-  for (; s + 4 <= s1; s += 4) {
-    acc01 = vaddq_f64(acc01, vld1q_f64(values + s));
-    acc23 = vaddq_f64(acc23, vld1q_f64(values + s + 2));
-  }
-  double lanes[4] = {vgetq_lane_f64(acc01, 0), vgetq_lane_f64(acc01, 1),
-                     vgetq_lane_f64(acc23, 0), vgetq_lane_f64(acc23, 1)};
-  for (; s < s1; ++s) {
-    lanes[(s - s0) & 3] += values[s];
-  }
-  return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-}
-
 void bernoulli_pack_neon(const std::uint64_t* raw, const std::uint64_t* thr,
                          std::size_t n, std::uint64_t* out_words) {
   std::size_t i = 0;
@@ -81,7 +65,7 @@ void bernoulli_pack_neon(const std::uint64_t* raw, const std::uint64_t* thr,
 }
 
 constexpr ScoreKernels kNeonKernels{Isa::kNeon, &row_gather_mul_neon,
-                                    &row_sum_neon, &bernoulli_pack_neon};
+                                    &bernoulli_pack_neon};
 
 }  // namespace
 

@@ -123,10 +123,18 @@ void AbmStrategy::reset(const AccuInstance& instance, util::Rng& rng) {
   version_.assign(instance.num_nodes(), 0);
   heap_.clear();  // keeps capacity for the next seed_heap
   heap_seeded_ = false;
+  blank_since_reset_ = true;
 }
 
 void AbmStrategy::seed_heap() {
   heap_seeded_ = true;
+  // With no event since reset the engine is in its blank state, whose
+  // scores depend only on the instance and this object's weights: reuse
+  // the heap an earlier cell built for the same instance.
+  if (blank_since_reset_ && blank_heap_uid_ == instance_->uid()) {
+    heap_ = blank_heap_;
+    return;
+  }
   heap_.clear();
   for (NodeId u = 0; u < instance_->num_nodes(); ++u) {
     if (engine_.is_requested(u)) continue;  // pre-seed abandons (fault layer)
@@ -136,6 +144,10 @@ void AbmStrategy::seed_heap() {
   // make_heap instead of n push_heaps: pop order is unaffected (the
   // comparator is a strict total order — (value, node) pairs are unique).
   std::make_heap(heap_.begin(), heap_.end());
+  if (blank_since_reset_) {
+    blank_heap_ = heap_;
+    blank_heap_uid_ = instance_->uid();
+  }
 }
 
 void AbmStrategy::heap_push(HeapEntry entry) {
@@ -213,6 +225,7 @@ void AbmStrategy::observe(NodeId target, bool accepted,
                           const AttackerView::AcceptanceEffects* effects) {
   (void)view;
   if (!config_.incremental) return;
+  blank_since_reset_ = false;
   // The target's entries are stale either way: it can never be selected
   // again (select_incremental also checks is_requested as a belt).
   ++version_[target];
@@ -237,6 +250,7 @@ void AbmStrategy::observe_revelation(
   (void)source;
   (void)view;
   if (!config_.incremental) return;  // the reference rescans the view
+  blank_since_reset_ = false;
   // A late revelation is the new_fof/mutual_increased half of an
   // acceptance (the source's own slots were deactivated when its
   // acceptance was observed); fold the deltas and re-push potentials that

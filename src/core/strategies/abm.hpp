@@ -27,20 +27,25 @@
 //
 // Complexity.  A naive implementation recomputes all n potentials (O(Σdeg))
 // every round.  ABM instead keeps a versioned max-heap of cached potentials
-// over the incremental ScoreEngine (core/score.hpp): acceptance effects
-// apply O(1) deltas per affected CSR slot, nodes whose potential may have
-// *increased* are re-scored eagerly, and everything else carries a dirty
-// bit and is re-summed lazily only if it surfaces at the heap top.  Stale
-// heap entries are upper bounds, so the lazy pop loop returns exactly the
-// argmax the eager policy would — see DESIGN.md §11 for the argument.
-// The heap itself is compacted in place whenever stale entries outnumber
-// live candidates 4:1, bounding its size over arbitrarily long runs.
+// over the incremental ScoreEngine (core/score.hpp): each acceptance effect
+// writes one entry of the engine's per-node term tables, nodes whose
+// potential may have *increased* are re-scored eagerly, and everything
+// else carries a dirty bit and is re-summed lazily only if it surfaces at
+// the heap top.  Stale heap entries are upper bounds, so the lazy pop loop
+// returns exactly the argmax the eager policy would — see DESIGN.md §11
+// for the argument.  The heap itself is compacted in place whenever stale
+// entries outnumber live candidates 4:1, bounding its size over
+// arbitrarily long runs.  Per cell, reset() is O(n), and the first
+// select() copies the blank heap cached for the instance (keyed by
+// AccuInstance::uid) rather than scoring all n nodes, unless an event
+// arrived before it.
 //
 // A property test pins the incremental policy to the O(n·Σdeg) scalar
 // reference (`Config::incremental = false`) trace-for-trace, bit-exactly.
 
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/score.hpp"
@@ -116,7 +121,9 @@ class AbmStrategy final : public Strategy {
 
   /// Scores every un-requested node from the engine state and heapifies —
   /// deferred from reset() to the first select() so a strategy that is
-  /// reset but never run pays nothing.
+  /// reset but never run pays nothing.  Copies the cached blank heap
+  /// instead when no event arrived since reset and the cache was built for
+  /// this instance.
   void seed_heap();
 
   void heap_push(HeapEntry entry);
@@ -136,6 +143,12 @@ class AbmStrategy final : public Strategy {
   // identical to std::priority_queue) so reset() can keep its capacity.
   std::vector<HeapEntry> heap_;
   bool heap_seeded_ = false;
+  // The heapified blank-state seed of the instance with AccuInstance::uid
+  // blank_heap_uid_ (0, never a live uid, when none).  Valid to copy only
+  // while blank_since_reset_: no observe/observe_revelation since reset().
+  std::vector<HeapEntry> blank_heap_;
+  std::uint64_t blank_heap_uid_ = 0;
+  bool blank_since_reset_ = false;
   // Incremental scoring state (config_.incremental only).  `own_pack_` is
   // the fallback when no workspace pack was adopted for this simulation;
   // `adopted_pack_` is only dereferenced when `adopt_fresh_` says the

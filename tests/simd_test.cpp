@@ -77,9 +77,6 @@ TEST(ScoreSimdTest, RowKernelsBitIdenticalAcrossIsas) {
                   scalar.row_gather_mul(values.data(), nodes.data(),
                                         table.data(), s0, s1))
             << simd::isa_name(isa) << " gather [" << s0 << "," << s1 << ")";
-        ASSERT_EQ(k.row_sum(values.data(), s0, s1),
-                  scalar.row_sum(values.data(), s0, s1))
-            << simd::isa_name(isa) << " sum [" << s0 << "," << s1 << ")";
       }
     }
   }

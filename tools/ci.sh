@@ -26,7 +26,8 @@
 #      appends, cancellation, serve journal/daemon, intra-cell task pool)
 #   8. forced-ISA dispatch              — the Score suites re-run under
 #      every kernel table the host supports (ACCU_SIMD=scalar/avx2/neon),
-#      in the plain, ASan, and TSan trees: every dispatch tail must be
+#      in the plain, ASan, and TSan trees (plus the Abm and Golden suites
+#      in plain and ASan): every dispatch tail must be
 #      bit-identical and sanitizer-clean, not just the auto pick
 #   9. bench trend gate                 — accu_bench_diff compares a fresh
 #      `micro_core --json` run against the committed BENCH_micro_core.json
@@ -87,9 +88,10 @@ echo "=== bench trend vs committed BENCH_micro_core.json ==="
 ./build-ci/tools/accu_bench_diff BENCH_micro_core.json \
   build-ci/BENCH_micro_core.json --threshold=2.0
 
-echo "=== forced-ISA dispatch: Score suites under every kernel table ==="
+echo "=== forced-ISA dispatch: Score/Abm/Golden suites under every kernel table ==="
 # The determinism contract (score_simd.hpp) says every dispatch tail is
-# bit-identical; re-run the score/kernel suites with each supported table
+# bit-identical; re-run the score/kernel suites, ABM's incremental-vs-
+# reference pins and the golden trace digests with each supported table
 # forced via ACCU_SIMD, in the plain and ASan trees.
 ISAS="scalar"
 if grep -q avx2 /proc/cpuinfo 2> /dev/null; then ISAS="${ISAS} avx2"; fi
@@ -97,9 +99,9 @@ case "$(uname -m)" in aarch64 | arm64) ISAS="${ISAS} neon" ;; esac
 for ISA in ${ISAS}; do
   echo "--- ACCU_SIMD=${ISA} (plain + ASan) ---"
   ACCU_SIMD="${ISA}" ctest --test-dir build-ci --output-on-failure \
-    -j "${JOBS}" --timeout 300 -R 'Score'
+    -j "${JOBS}" --timeout 300 -R 'Score|Abm|Golden'
   ACCU_SIMD="${ISA}" ctest --test-dir build-ci-san --output-on-failure \
-    -j "${JOBS}" --timeout 300 -R 'Score'
+    -j "${JOBS}" --timeout 300 -R 'Score|Abm|Golden'
 done
 
 echo "=== shard → kill → resume → merge round-trip ==="
