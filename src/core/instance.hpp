@@ -15,28 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/benefit.hpp"
 #include "core/types.hpp"
 
 namespace accu {
-
-/// Pre-laid-out ScorePack slot tables carried alongside an instance loaded
-/// from the binary format (core/instance_format.hpp).  The pointers alias
-/// the file mapping kept alive by `owner`; ScorePack::build adopts them by
-/// memcpy instead of recomputing the per-slot walk.  Untyped (const void*)
-/// on purpose: the bytes come straight from a mapped file, and memcpy into
-/// typed storage is the aliasing-safe way to read them.
-struct PackTables {
-  std::shared_ptr<const void> owner;
-  std::uint32_t num_slots = 0;
-  const void* mirror = nullptr;      // uint32 [num_slots]
-  const void* d_init = nullptr;      // double [num_slots]
-  const void* i_gain = nullptr;      // double [num_slots]
-  const void* slot_theta = nullptr;  // uint32 [num_slots]
-};
 
 /// Parameters of the *generalized* cautious acceptance model the paper
 /// discusses in §III-B: a cautious user accepts with probability q1 while
@@ -130,20 +114,6 @@ class AccuInstance {
   /// pack in SimWorkspace) detect address reuse without hashing the data.
   [[nodiscard]] std::uint64_t uid() const noexcept { return uid_; }
 
-  // --- pre-laid-out score tables (binary instance format) -----------------
-
-  /// Attaches (or, with nullptr, detaches) pre-laid-out ScorePack slot
-  /// tables; set by the binary loader so ScorePack::build can memcpy
-  /// instead of recomputing.  Copies of the instance share the tables.
-  void attach_pack_tables(std::shared_ptr<const PackTables> tables) noexcept {
-    pack_tables_ = std::move(tables);
-  }
-
-  /// The attached tables, or nullptr when none.
-  [[nodiscard]] const PackTables* pack_tables() const noexcept {
-    return pack_tables_.get();
-  }
-
  private:
   void validate();
 
@@ -160,7 +130,6 @@ class AccuInstance {
   std::vector<double> cautious_below_;
   std::vector<double> cautious_above_;
   bool generalized_ = false;
-  std::shared_ptr<const PackTables> pack_tables_;
   std::uint64_t uid_ = next_uid();
 };
 

@@ -1,12 +1,10 @@
 #include "core/instance_format.hpp"
 
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <utility>
 
 #include "core/instance_io.hpp"
-#include "core/score.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/mmap_file.hpp"
@@ -62,12 +60,6 @@ FileLayout FileLayout::compute(std::uint64_t num_nodes,
   if ((flags & kFlagGeneralized) != 0) {
     add(kQBelow, num_nodes * 8);
     add(kQAbove, num_nodes * 8);
-  }
-  if ((flags & kFlagPackTables) != 0) {
-    add(kMirror, slots * 4);
-    add(kDInit, slots * 8);
-    add(kIGain, slots * 8);
-    add(kSlotTheta, slots * 4);
   }
   layout.footer_offset = pos;
   layout.footer_length = layout.sections.size() * sizeof(SectionEntry) + 4;
@@ -191,14 +183,12 @@ static_assert(sizeof(graph::Neighbor) == 8, "adjacency entries must pack");
 static_assert(sizeof(graph::EdgeEndpoints) == 8, "endpoints must pack");
 
 void write_instance_binary_file(const AccuInstance& instance,
-                                const std::string& path,
-                                bool with_pack_tables) {
+                                const std::string& path) {
   const Graph& g = instance.graph();
   const std::uint64_t n = g.num_nodes();
   const std::uint64_t m = g.num_edges();
-  std::uint64_t flags = 0;
-  if (instance.has_generalized_cautious()) flags |= fmt::kFlagGeneralized;
-  if (with_pack_tables) flags |= fmt::kFlagPackTables;
+  const std::uint64_t flags =
+      instance.has_generalized_cautious() ? fmt::kFlagGeneralized : 0;
 
   // The Graph invariants the loader re-validates (no duplicate edges, no
   // self-loops, normalized endpoints) hold here by construction: every
@@ -260,15 +250,6 @@ void write_instance_binary_file(const AccuInstance& instance,
     }
     section(fmt::kQAbove, col.data(), n * 8);
   }
-  if (with_pack_tables) {
-    ScorePack pack;
-    pack.build(instance);
-    const std::size_t slots = pack.num_slots();
-    section(fmt::kMirror, pack.mirror_all().data(), slots * 4);
-    section(fmt::kDInit, pack.d_init_all().data(), slots * 8);
-    section(fmt::kIGain, pack.i_gain_all().data(), slots * 8);
-    section(fmt::kSlotTheta, pack.slot_theta_all().data(), slots * 4);
-  }
   w.commit();
 }
 
@@ -285,7 +266,7 @@ namespace {
 }  // namespace
 
 AccuInstance read_instance_binary_file(const std::string& path) {
-  const std::shared_ptr<const util::MappedFile> file =
+  const std::unique_ptr<const util::MappedFile> file =
       util::MappedFile::open(path);
   const std::byte* base = file->data();
   const std::uint64_t size = file->size();
@@ -307,19 +288,13 @@ AccuInstance read_instance_binary_file(const std::string& path) {
   if (util::crc32(&h, sizeof(fmt::Header) - 4) != h.header_crc) {
     corrupt(path, "header CRC mismatch");
   }
-  if ((h.flags & ~fmt::kKnownFlags) != 0) {
-    corrupt(path, "unknown flag bits (file from a newer writer)");
+  fmt::FileLayout layout;
+  try {
+    // Rejects unknown flag bits and node/edge counts past the id space.
+    layout = fmt::FileLayout::compute(h.num_nodes, h.num_edges, h.flags);
+  } catch (const InvalidArgument& e) {
+    corrupt(path, e.what());
   }
-  if (h.num_nodes >= graph::kInvalidNode) {
-    corrupt(path, "node count " + std::to_string(h.num_nodes) +
-                      " exceeds the uint32 id space");
-  }
-  if (h.num_edges >= (1ull << 31)) {
-    corrupt(path, "edge count " + std::to_string(h.num_edges) +
-                      " exceeds the 2m uint32 slot space");
-  }
-  const fmt::FileLayout layout =
-      fmt::FileLayout::compute(h.num_nodes, h.num_edges, h.flags);
   if (h.footer_offset != layout.footer_offset ||
       h.footer_length != layout.footer_length ||
       h.section_count != layout.sections.size()) {
@@ -366,8 +341,7 @@ AccuInstance read_instance_binary_file(const std::string& path) {
   const std::size_t slots = 2 * m;
 
   // memcpy out of the mapping into typed vectors — the aliasing-safe way
-  // to read raw file bytes; the big slot tables stay in the mapping and are
-  // adopted by reference below.
+  // to read raw file bytes.
   std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1);
   {
     std::vector<std::uint64_t> raw(offsets.size());
@@ -412,75 +386,10 @@ AccuInstance read_instance_binary_file(const std::string& path) {
   try {
     Graph g = Graph::from_csr(n, std::move(offsets), std::move(adjacency),
                               std::move(probs), std::move(endpoints));
-    AccuInstance instance(std::move(g), std::move(classes), std::move(accept),
-                          std::move(theta),
-                          BenefitModel(std::move(bf), std::move(bfof)),
-                          std::move(cautious));
-    if ((h.flags & fmt::kFlagPackTables) != 0) {
-      // CRCs prove the tables arrived intact, not that they are *right*: a
-      // crafted or buggy-writer file can be CRC-consistent and still carry
-      // wrong tables.  No scoring path reads mirror or slot_theta any more,
-      // but ScorePack adopts them and the .accui writer re-emits them, so a
-      // bad table would spread to every file packed from this instance.
-      // One O(2m) pass re-establishes the structural invariants against the
-      // CSR that Graph::from_csr just validated; the d_init/i_gain payloads
-      // are additionally required to be finite (reckless slots exactly
-      // zero — the invariant the P_I gathers rely on).
-      const std::span<const graph::Neighbor> adj =
-          instance.graph().raw_adjacency();
-      const std::byte* mirror_bytes = sec(fmt::kMirror);
-      const std::byte* d_init_bytes = sec(fmt::kDInit);
-      const std::byte* i_gain_bytes = sec(fmt::kIGain);
-      const std::byte* slot_theta_bytes = sec(fmt::kSlotTheta);
-      const auto u32_at = [](const std::byte* p, std::size_t i) {
-        std::uint32_t v;
-        std::memcpy(&v, p + i * 4, 4);
-        return v;
-      };
-      const auto f64_at = [](const std::byte* p, std::size_t i) {
-        double v;
-        std::memcpy(&v, p + i * 8, 8);
-        return v;
-      };
-      for (std::size_t s = 0; s < slots; ++s) {
-        // from_csr proved each edge labels exactly two adjacency slots, so
-        // "a different slot of my own edge" pins the unique twin — and once
-        // every slot passes, mirror[mirror[s]] == s follows for free.
-        const std::uint32_t ms = u32_at(mirror_bytes, s);
-        if (ms >= slots || ms == s || adj[ms].edge != adj[s].edge) {
-          corrupt(path, "pack table mirror[" + std::to_string(s) +
-                            "] does not link the twin slot of edge " +
-                            std::to_string(adj[s].edge));
-        }
-        const NodeId v = adj[s].node;
-        const bool cautious_v = instance.is_cautious(v);
-        const std::uint32_t expected_theta =
-            cautious_v ? instance.threshold(v) : 1;
-        if (u32_at(slot_theta_bytes, s) != expected_theta) {
-          corrupt(path, "pack table slot_theta[" + std::to_string(s) +
-                            "] disagrees with neighbor " + std::to_string(v) +
-                            "'s class/threshold");
-        }
-        const double gain = f64_at(i_gain_bytes, s);
-        if (!std::isfinite(gain) || (!cautious_v && gain != 0.0)) {
-          corrupt(path, "pack table i_gain[" + std::to_string(s) +
-                            "] violates the finite/reckless-zero invariant");
-        }
-        if (!std::isfinite(f64_at(d_init_bytes, s))) {
-          corrupt(path,
-                  "pack table d_init[" + std::to_string(s) + "] not finite");
-        }
-      }
-      auto tables = std::make_shared<PackTables>();
-      tables->owner = std::shared_ptr<const void>(file, file->data());
-      tables->num_slots = static_cast<std::uint32_t>(slots);
-      tables->mirror = sec(fmt::kMirror);
-      tables->d_init = sec(fmt::kDInit);
-      tables->i_gain = sec(fmt::kIGain);
-      tables->slot_theta = sec(fmt::kSlotTheta);
-      instance.attach_pack_tables(std::move(tables));
-    }
-    return instance;
+    return AccuInstance(std::move(g), std::move(classes), std::move(accept),
+                        std::move(theta),
+                        BenefitModel(std::move(bf), std::move(bfof)),
+                        std::move(cautious));
   } catch (const InvalidArgument& e) {
     corrupt(path, std::string("CRC-valid but semantically invalid: ") +
                       e.what());

@@ -27,10 +27,12 @@
 //    9 bfof        double [n]        friend-of-friend benefit B_fof
 //   10 q_below     double [n]        generalized q1   (flag bit 0 only)
 //   11 q_above     double [n]        generalized q2   (flag bit 0 only)
-//   12 mirror      uint32 [2m]       ScorePack slot tables (flag bit 1
-//   13 d_init      double [2m]       only) — pre-laid-out so the loader
-//   14 i_gain      double [2m]       hands them to ScorePack::build as a
-//   15 slot_theta  uint32 [2m]       memcpy instead of a per-slot walk
+//
+// The file holds the instance and nothing derived from it: ScorePack::build
+// walks the loaded CSR like any other instance's.  Version 1 files also
+// carried pre-laid-out ScorePack slot tables (flag bit 1, sections 12–15);
+// version 2 dropped them, so the loader rejects v1 files with a version
+// error — regenerate them with `accu pack` or `accu synth` (same seed).
 //
 // Integrity: every loader check fails with a clean IoError — wrong magic /
 // version / endian tag, unknown flag bits (a newer writer's file), header
@@ -38,17 +40,14 @@
 // (size == footer_offset + footer_length) that catches torn tails even
 // before CRCs run.  Semantic validity (CSR shape, probability ranges, the
 // paper's standing assumptions) is re-checked by Graph::from_csr and the
-// AccuInstance constructor, and the adopted slot tables get their own
-// O(2m) pass (mirror links the twin slot of its edge, slot_theta matches
-// the neighbor's class/threshold, i_gain/d_init finite with reckless
-// slots exactly zero) — a CRC-valid file still cannot smuggle in a
+// AccuInstance constructor — a CRC-valid file still cannot smuggle in a
 // malformed instance.
 //
 // Durability: writers stream through util::AtomicFileWriter (temp + fsync
 // + rename + dir fsync via util::IoEnv), so a crash or ENOSPC mid-pack
 // never leaves a torn ".accui" behind, and the FaultyFs suite covers the
-// write path.  Loading mmaps the file read-only (util::MappedFile); the
-// ScorePack slot tables alias the mapping, kept alive by the instance.
+// write path.  Loading mmaps the file read-only (util::MappedFile) and
+// copies every section out into the instance's own arrays.
 
 #pragma once
 
@@ -65,13 +64,12 @@ namespace instance_format {
 
 inline constexpr unsigned char kMagic[8] = {0xAC, 0xCF, 'A', 'C',
                                             'C',  'U',  'I', '1'};
-inline constexpr std::uint32_t kVersion = 1;
+inline constexpr std::uint32_t kVersion = 2;
 inline constexpr std::uint32_t kEndianTag = 0x0A0B0C0Du;
 inline constexpr std::uint64_t kSectionAlign = 64;
 
 inline constexpr std::uint64_t kFlagGeneralized = 1ull << 0;
-inline constexpr std::uint64_t kFlagPackTables = 1ull << 1;
-inline constexpr std::uint64_t kKnownFlags = kFlagGeneralized | kFlagPackTables;
+inline constexpr std::uint64_t kKnownFlags = kFlagGeneralized;
 
 enum SectionId : std::uint32_t {
   kOffsets = 1,
@@ -85,10 +83,6 @@ enum SectionId : std::uint32_t {
   kFofBenefit = 9,
   kQBelow = 10,
   kQAbove = 11,
-  kMirror = 12,
-  kDInit = 13,
-  kIGain = 14,
-  kSlotTheta = 15,
 };
 
 struct Header {
@@ -110,7 +104,7 @@ struct SectionEntry {
   std::uint32_t crc;  // CRC32 of the section's payload bytes (pre-padding)
   std::uint64_t offset;
   std::uint64_t length;
-  std::uint64_t reserved;  // must be zero in v1
+  std::uint64_t reserved;  // must be zero
 };
 static_assert(sizeof(SectionEntry) == 32, "footer entries must pack");
 
@@ -190,20 +184,13 @@ class BinaryInstanceWriter {
 };
 
 /// Serializes an in-memory instance to the binary format (atomic replace).
-/// `with_pack_tables` additionally embeds the pre-laid-out ScorePack slot
-/// tables (built here with the same ScorePack::build the engines use, so
-/// adopted packs are bit-identical to recomputed ones).
 void write_instance_binary_file(const AccuInstance& instance,
-                                const std::string& path,
-                                bool with_pack_tables = true);
+                                const std::string& path);
 
 /// Loads a binary instance: mmaps the file, verifies header/footer/CRCs,
 /// adopts the CSR arrays through Graph::from_csr and re-validates the
-/// instance through its constructor.  When the file carries pack tables
-/// they are validated against the adopted CSR (see the integrity notes
-/// above) and attached to the returned instance (aliasing the mapping, which
-/// stays alive as long as any copy of the instance does).  Throws IoError
-/// on any structural or integrity violation.
+/// instance through its constructor.  Throws IoError on any structural or
+/// integrity violation.
 [[nodiscard]] AccuInstance read_instance_binary_file(const std::string& path);
 
 /// True when `path` starts with the binary magic (first byte 0xAC — text

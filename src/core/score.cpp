@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <limits>
 
 #include "core/score_simd.hpp"
@@ -11,8 +10,6 @@
 namespace accu {
 
 namespace {
-constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
-
 /// Calls f(v) for every cautious v, in id order, walking the bitset words
 /// instead of all n nodes.
 template <class F>
@@ -31,7 +28,7 @@ void ScorePack::build(const AccuInstance& instance) {
   const Graph& g = instance.graph();
   const NodeId n = g.num_nodes();
   const std::size_t slots = 2ull * g.num_edges();
-  if (slots >= kNoSlot) {
+  if (slots >= std::numeric_limits<std::uint32_t>::max()) {
     throw InvalidArgument("ScorePack: instance too large for 32-bit slots");
   }
   instance_ = &instance;
@@ -47,10 +44,8 @@ void ScorePack::build(const AccuInstance& instance) {
   q_above_.resize(n);
   theta_.resize(n);
   adj_node_.resize(slots);
-  mirror_.resize(slots);
   d_init_.resize(slots);
   i_gain_.resize(slots);
-  slot_theta_.resize(slots);
 
   const BenefitModel& benefits = instance.benefits();
   for (NodeId u = 0; u < n; ++u) {
@@ -69,69 +64,23 @@ void ScorePack::build(const AccuInstance& instance) {
     }
   }
 
-  // Pre-laid-out slot tables (binary instance format): the file already
-  // stores mirror / d_init / i_gain / slot_theta in exactly this layout, so
-  // adopt them by memcpy and skip both the per-slot walk and the mirror
-  // linking.  The format writer produced them with this very function (or a
-  // transform pinned bit-identical to it in tests), so adopted packs score
-  // bit-for-bit like recomputed ones; the binary loader re-checked the
-  // structural invariants (mirror twin links, slot_theta, reckless-zero
-  // i_gain) against the CSR before attaching.
-  if (const PackTables* tables = instance.pack_tables();
-      tables != nullptr && tables->num_slots == slots) {
-    const std::span<const std::size_t> offsets = g.raw_offsets();
-    for (NodeId u = 0; u <= n; ++u) {
-      row_begin_[u] = static_cast<std::uint32_t>(offsets[u]);
-    }
-    const std::span<const graph::Neighbor> adj = g.raw_adjacency();
-    for (std::size_t i = 0; i < slots; ++i) adj_node_[i] = adj[i].node;
-    if (slots > 0) {
-      std::memcpy(mirror_.data(), tables->mirror,
-                  slots * sizeof(std::uint32_t));
-      std::memcpy(d_init_.data(), tables->d_init, slots * sizeof(double));
-      std::memcpy(i_gain_.data(), tables->i_gain, slots * sizeof(double));
-      std::memcpy(slot_theta_.data(), tables->slot_theta,
-                  slots * sizeof(std::uint32_t));
-    }
-    return;
-  }
-
-  std::uint32_t s = 0;
+  // One flat pass over the CSR slots, reading the raw adjacency and priors
+  // and the per-node columns filled above.  The live term values (header
+  // invariant: active terms always carry the prior), with the scalar code's
+  // exact operation order (upgrade_gain is B_f - B_fof).
+  const std::span<const std::size_t> offsets = g.raw_offsets();
+  row_begin_[0] = 0;
   for (NodeId u = 0; u < n; ++u) {
-    row_begin_[u] = s;
-    for (const graph::Neighbor& nb : g.neighbors(u)) {
-      const NodeId v = nb.node;
-      const double prior = g.edge_prob(nb.edge);
-      adj_node_[s] = v;
-      // The live term values (header invariant: active terms always carry
-      // the prior), with the scalar code's exact operation order.
-      d_init_[s] = prior * benefits.fof_benefit(v);
-      if (instance.is_cautious(v)) {
-        i_gain_[s] = prior * benefits.upgrade_gain(v);
-        slot_theta_[s] = instance.threshold(v);
-      } else {
-        i_gain_[s] = 0.0;
-        slot_theta_[s] = 1;
-      }
-      ++s;
-    }
+    row_begin_[u + 1] = static_cast<std::uint32_t>(offsets[u + 1]);
   }
-  row_begin_[n] = s;
-
-  // Link the two slots of each undirected edge.
-  edge_slot_.assign(g.num_edges(), kNoSlot);
-  s = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    for (const graph::Neighbor& nb : g.neighbors(u)) {
-      const std::uint32_t other = edge_slot_[nb.edge];
-      if (other == kNoSlot) {
-        edge_slot_[nb.edge] = s;
-      } else {
-        mirror_[s] = other;
-        mirror_[other] = s;
-      }
-      ++s;
-    }
+  const std::span<const graph::Neighbor> adj = g.raw_adjacency();
+  const std::span<const double> probs = g.raw_probs();
+  for (std::size_t s = 0; s < slots; ++s) {
+    const NodeId v = adj[s].node;
+    const double prior = probs[adj[s].edge];
+    adj_node_[s] = v;
+    d_init_[s] = prior * fof_b_[v];
+    i_gain_[s] = is_cautious(v) ? prior * (friend_b_[v] - fof_b_[v]) : 0.0;
   }
 }
 

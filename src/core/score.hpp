@@ -8,11 +8,12 @@
 // provides the same arithmetic over contiguous arrays, in three layers:
 //
 //  * ScorePack — the per-instance SoA pack: edge-parallel slot arrays laid
-//    out alongside the CSR adjacency (neighbor id, mirror slot, the
-//    slot-constant direct/indirect term numerators), per-node benefit /
+//    out alongside the CSR adjacency (neighbor id and the slot-constant
+//    direct/indirect term numerators d_init / i_gain), per-node benefit /
 //    acceptance columns, cautious flags as a bitset, thresholds as flat
-//    uint32.  Built once per AccuInstance (identity-checked via
-//    AccuInstance::uid) and pooled in SimWorkspace.
+//    uint32.  Built by one walk over the instance (there is no other way
+//    to obtain a pack), once per AccuInstance (identity-checked via
+//    AccuInstance::uid), and pooled in SimWorkspace.
 //
 //  * score_batch — the stateless batched rescore: scores a span of
 //    candidate ids against an AttackerView in one pass, reading only the
@@ -110,13 +111,6 @@ class ScorePack {
 
   /// Neighbor id of slot s (same order as Graph::neighbors).
   [[nodiscard]] NodeId slot_node(std::uint32_t s) const { return adj_node_[s]; }
-  /// The reverse slot: the entry in slot_node(s)'s row pointing back over
-  /// the same undirected edge.  mirror(mirror(s)) == s.  No scoring path
-  /// reads it; it (like slot_theta) is kept for the .accui writer, which
-  /// re-emits the pack's slot tables.
-  [[nodiscard]] std::uint32_t mirror(std::uint32_t s) const {
-    return mirror_[s];
-  }
   /// Slot-constant P_D term: p_e · B_fof(slot_node(s)).  The live value of
   /// the term whenever it is active (see the header invariant).
   [[nodiscard]] double d_init(std::uint32_t s) const { return d_init_[s]; }
@@ -124,22 +118,12 @@ class ScorePack {
   /// neighbors v, exactly 0.0 otherwise (the scalar code skips those slots;
   /// summing a hard zero matches it bit for bit).
   [[nodiscard]] double i_gain(std::uint32_t s) const { return i_gain_[s]; }
-  /// θ of slot s's neighbor (1 for reckless neighbors, never divided by).
-  [[nodiscard]] std::uint32_t slot_theta(std::uint32_t s) const {
-    return slot_theta_[s];
-  }
 
   [[nodiscard]] std::span<const double> d_init_all() const noexcept {
     return d_init_;
   }
-  [[nodiscard]] std::span<const std::uint32_t> mirror_all() const noexcept {
-    return mirror_;
-  }
   [[nodiscard]] std::span<const double> i_gain_all() const noexcept {
     return i_gain_;
-  }
-  [[nodiscard]] std::span<const std::uint32_t> slot_theta_all() const noexcept {
-    return slot_theta_;
   }
   [[nodiscard]] std::span<const NodeId> slot_nodes_all() const noexcept {
     return adj_node_;
@@ -160,11 +144,8 @@ class ScorePack {
   std::vector<double> q_reckless_, q_below_, q_above_;
   std::vector<std::uint32_t> theta_;
 
-  std::vector<NodeId> adj_node_;          // size 2E
-  std::vector<std::uint32_t> mirror_;     // size 2E
-  std::vector<double> d_init_, i_gain_;   // size 2E
-  std::vector<std::uint32_t> slot_theta_; // size 2E
-  std::vector<std::uint32_t> edge_slot_;  // size E; build scratch
+  std::vector<NodeId> adj_node_;         // size 2E
+  std::vector<double> d_init_, i_gain_;  // size 2E
 };
 
 /// Reusable per-node tables for the batched rescore.  Pool this in the

@@ -23,11 +23,16 @@ double row_gather_mul_avx2(const double* values, const NodeId* nodes,
                            const double* table, std::uint32_t s0,
                            std::uint32_t s1) {
   __m256d acc = _mm256_setzero_pd();
+  // The masked gather with a zeroed source and an all-ones mask loads the
+  // same four lanes as _mm256_i32gather_pd, whose GCC expansion reads an
+  // uninitialized source register (-Wmaybe-uninitialized).
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   std::uint32_t s = s0;
   for (; s + 4 <= s1; s += 4) {
     const __m128i idx =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(nodes + s));
-    const __m256d t = _mm256_i32gather_pd(table, idx, 8);
+    const __m256d t = _mm256_mask_i32gather_pd(zero, table, idx, all, 8);
     const __m256d v = _mm256_loadu_pd(values + s);
     acc = _mm256_add_pd(acc, _mm256_mul_pd(v, t));
   }

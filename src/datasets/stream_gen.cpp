@@ -84,17 +84,17 @@ class SpoolScanner {
   std::uint64_t scans_ = 0;
 };
 
-/// Greedy row-aligned buckets: consecutive row ranges [r0, r1) whose slot
-/// span fits `cap` bytes at `elem_bytes` per slot (always at least one row,
-/// so a hub row larger than the cap gets a private oversized bucket).
+/// Greedy row-aligned buckets: consecutive row ranges [r0, r1) whose
+/// adjacency span fits `cap` bytes (always at least one row, so a hub row
+/// larger than the cap gets a private oversized bucket).
 template <typename Fn>
 void for_each_row_bucket(const std::vector<std::uint64_t>& offsets,
-                         std::uint64_t n, std::uint64_t elem_bytes,
-                         std::uint64_t cap, Fn&& fn) {
+                         std::uint64_t n, std::uint64_t cap, Fn&& fn) {
   std::uint64_t r0 = 0;
   while (r0 < n) {
     std::uint64_t r1 = r0 + 1;
-    while (r1 < n && (offsets[r1 + 1] - offsets[r0]) * elem_bytes <= cap) {
+    while (r1 < n &&
+           (offsets[r1 + 1] - offsets[r0]) * sizeof(Slot) <= cap) {
       ++r1;
     }
     fn(r0, r1);
@@ -263,9 +263,8 @@ StreamGenStats generate_instance_stream(const StreamGenConfig& config,
   };
 
   // --- emit the binary format ---------------------------------------------
-  const std::uint64_t flags = config.pack_tables ? fmt::kFlagPackTables : 0;
   BinaryInstanceWriter w;
-  w.open(path, n, m, flags);
+  w.open(path, n, m, 0);
 
   w.begin_section(fmt::kOffsets);
   w.write(offsets.data(), (n + 1) * 8);
@@ -278,7 +277,7 @@ StreamGenStats generate_instance_stream(const StreamGenConfig& config,
     w.begin_section(fmt::kAdjacency);
     std::vector<Slot> bucket;
     std::vector<std::uint32_t> cur;
-    for_each_row_bucket(offsets, n, sizeof(Slot), cap,
+    for_each_row_bucket(offsets, n, cap,
                         [&](std::uint64_t r0, std::uint64_t r1) {
       const std::uint64_t base = offsets[r0];
       const std::uint64_t span = offsets[r1] - base;
@@ -373,120 +372,6 @@ StreamGenStats generate_instance_stream(const StreamGenConfig& config,
   });
   node_column_f64(fmt::kFofBenefit,
                   [&](std::uint64_t) { return config.fof_benefit; });
-
-  // --- pre-laid-out ScorePack slot tables ----------------------------------
-  //
-  // Slot positions come from a full cursor simulation per scan (the same
-  // assignment ScorePack::build's CSR walk produces); values are the exact
-  // expressions ScorePack::build computes, so an adopted pack is
-  // bit-identical to a recomputed one (pinned in tests).
-  if (config.pack_tables) {
-    std::vector<std::uint32_t> gcur(n);
-    const auto slot_passes = [&](std::uint32_t id, std::uint64_t elem_bytes,
-                                 auto&& emit) {
-      w.begin_section(id);
-      for_each_row_bucket(offsets, n, elem_bytes, cap,
-                          [&](std::uint64_t r0, std::uint64_t r1) {
-        const std::uint64_t s_begin = offsets[r0];
-        const std::uint64_t s_end = offsets[r1];
-        std::fill(gcur.begin(), gcur.end(), 0);
-        emit.start(s_begin, s_end);
-        scanner.scan(
-            [&](std::uint32_t lo, std::uint32_t hi, std::uint32_t e) {
-          const std::uint64_t sl = offsets[lo] + gcur[lo]++;
-          const std::uint64_t sh = offsets[hi] + gcur[hi]++;
-          // Slot sl lives in row lo and points at neighbor hi (and vice
-          // versa) — mirror partners by construction.
-          if (sl >= s_begin && sl < s_end) emit.put(sl - s_begin, hi, lo, e, sh);
-          if (sh >= s_begin && sh < s_end) emit.put(sh - s_begin, lo, hi, e, sl);
-        });
-        emit.flush();
-      });
-      w.end_section();
-    };
-
-    struct MirrorEmit {
-      BinaryInstanceWriter& w;
-      std::vector<std::uint32_t> buf;
-      void start(std::uint64_t s0, std::uint64_t s1) {
-        buf.assign(static_cast<std::size_t>(s1 - s0), 0);
-      }
-      void put(std::uint64_t rel, std::uint32_t, std::uint32_t, std::uint32_t,
-               std::uint64_t mirror_slot) {
-        buf[static_cast<std::size_t>(rel)] =
-            static_cast<std::uint32_t>(mirror_slot);
-      }
-      void flush() { w.write(buf.data(), buf.size() * 4); }
-    };
-    MirrorEmit mirror_emit{w, {}};
-    slot_passes(fmt::kMirror, 4, mirror_emit);
-
-    struct ValueEmit {
-      BinaryInstanceWriter& w;
-      const util::CounterRng& probs;
-      double (*value)(double p, bool neighbor_cautious,
-                      const StreamGenConfig& cfg);
-      const StreamGenConfig& cfg;
-      const std::vector<std::uint64_t>& cautious_bits;
-      std::vector<double> buf;
-      void start(std::uint64_t s0, std::uint64_t s1) {
-        buf.assign(static_cast<std::size_t>(s1 - s0), 0.0);
-      }
-      void put(std::uint64_t rel, std::uint32_t neighbor, std::uint32_t,
-               std::uint32_t e, std::uint64_t) {
-        const double p = unit(probs.at(e));
-        const bool c = ((cautious_bits[neighbor >> 6] >> (neighbor & 63)) &
-                        1u) != 0;
-        buf[static_cast<std::size_t>(rel)] = value(p, c, cfg);
-      }
-      void flush() { w.write(buf.data(), buf.size() * 8); }
-    };
-    ValueEmit d_init_emit{
-        w, prob_rng,
-        [](double p, bool, const StreamGenConfig& cfg) {
-          return p * cfg.fof_benefit;  // prior · B_fof(v), all-node constant
-        },
-        config, cautious_bits, {}};
-    slot_passes(fmt::kDInit, 8, d_init_emit);
-    ValueEmit i_gain_emit{
-        w, prob_rng,
-        [](double p, bool neighbor_cautious, const StreamGenConfig& cfg) {
-          // prior · upgrade_gain(v) for cautious v, exactly 0.0 otherwise —
-          // ScorePack::build's expression, operation for operation.
-          return neighbor_cautious
-                     ? p * (cfg.cautious_friend_benefit - cfg.fof_benefit)
-                     : 0.0;
-        },
-        config, cautious_bits, {}};
-    slot_passes(fmt::kIGain, 8, i_gain_emit);
-
-    struct SlotThetaEmit {
-      BinaryInstanceWriter& w;
-      const std::vector<std::uint64_t>& cautious_bits;
-      const std::vector<std::uint32_t>& deg;
-      double fraction;
-      std::vector<std::uint32_t> buf;
-      void start(std::uint64_t s0, std::uint64_t s1) {
-        buf.assign(static_cast<std::size_t>(s1 - s0), 0);
-      }
-      void put(std::uint64_t rel, std::uint32_t neighbor, std::uint32_t,
-               std::uint32_t, std::uint64_t) {
-        const bool c = ((cautious_bits[neighbor >> 6] >> (neighbor & 63)) &
-                        1u) != 0;
-        std::uint32_t theta = 1;
-        if (c) {
-          const auto t = static_cast<std::uint32_t>(std::llround(
-              fraction * static_cast<double>(deg[neighbor])));
-          theta = t < 1 ? 1u : t;
-        }
-        buf[static_cast<std::size_t>(rel)] = theta;
-      }
-      void flush() { w.write(buf.data(), buf.size() * 4); }
-    };
-    SlotThetaEmit slot_theta_emit{w, cautious_bits, deg,
-                                  config.threshold_fraction, {}};
-    slot_passes(fmt::kSlotTheta, 4, slot_theta_emit);
-  }
 
   w.commit();
 

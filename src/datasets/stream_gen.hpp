@@ -12,12 +12,13 @@
 //   2. One spool scan selects cautious users (greedy by id over the
 //      degree-window pool, never two adjacent — the streaming analogue of
 //      datasets.hpp's protocol).
-//   3. Stream the format's sections through BinaryInstanceWriter: CSR
-//      adjacency and the ScorePack slot tables are produced by repeated
-//      sequential spool scans scattering into row-aligned buckets of at
-//      most `batch_bytes`; everything per-node streams from the O(n)
-//      arrays; edge probabilities and acceptance draws are counter-based
-//      (util::CounterRng), so any subrange regenerates independently.
+//   3. Stream the format's sections through BinaryInstanceWriter: the CSR
+//      adjacency is produced by repeated sequential spool scans scattering
+//      into row-aligned buckets of at most `batch_bytes`; the endpoints
+//      section is the spool itself; everything per-node streams from the
+//      O(n) arrays; edge probabilities and acceptance draws are
+//      counter-based (util::CounterRng), so any subrange regenerates
+//      independently.
 //
 // Determinism: the output file is byte-identical for a fixed config
 // regardless of `batch_bytes` — bucket boundaries only choose which pass
@@ -53,8 +54,6 @@ struct StreamGenConfig {
   /// Bucket buffer cap for the scatter passes (floored at 64 KiB; a single
   /// hub row larger than the cap gets a bucket of its own).
   std::uint64_t batch_bytes = 64ull << 20;
-  /// Embed the pre-laid-out ScorePack slot tables (sections 12–15).
-  bool pack_tables = true;
 
   /// Throws InvalidArgument on out-of-range knobs.
   void validate() const;

@@ -24,8 +24,8 @@ namespace {
 
 }  // namespace
 
-std::shared_ptr<const MappedFile> MappedFile::open(const std::string& path) {
-  auto file = std::shared_ptr<MappedFile>(new MappedFile());
+std::unique_ptr<const MappedFile> MappedFile::open(const std::string& path) {
+  auto file = std::unique_ptr<MappedFile>(new MappedFile());
 #ifdef ACCU_HAVE_POSIX_IO
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) map_fail("cannot open", path);

@@ -3,9 +3,8 @@
 // On POSIX the whole file is mmap()ed PROT_READ/MAP_PRIVATE, so loading a
 // multi-gigabyte instance costs page-table setup plus the pages actually
 // touched; elsewhere the file is slurped into an 8-byte-aligned heap buffer
-// (same interface, no laziness).  The mapping is shared (shared_ptr) so
-// structures that alias it — the pre-laid-out ScorePack slot tables an
-// AccuInstance carries — keep it alive for exactly as long as needed.
+// (same interface, no laziness).  The loader copies what it needs out of
+// the mapping, so a MappedFile lives only as long as the load.
 //
 // Reads are not routed through util::IoEnv: the fault-injection surface
 // (io_env.hpp) covers durable *writes*; loaders validate what they read via
@@ -25,7 +24,7 @@ class MappedFile {
  public:
   /// Maps `path` read-only.  Throws IoError when the file cannot be opened,
   /// stat'ed, or mapped.  An empty file maps to data() == nullptr, size 0.
-  [[nodiscard]] static std::shared_ptr<const MappedFile> open(
+  [[nodiscard]] static std::unique_ptr<const MappedFile> open(
       const std::string& path);
 
   ~MappedFile();

@@ -1,16 +1,15 @@
 // Tests for the binary ".accui" instance format: bit-exact round trips
-// against the text format, ScorePack table adoption, the corruption
-// matrix (every section, header, footer, torn tails), atomic-write fault
-// injection, the out-of-core generator, and format auto-detection.
+// against the text format, the corruption matrix (every section, header,
+// footer, torn tails), atomic-write fault injection, the out-of-core
+// generator (pinned byte for byte against the in-memory writer), and format
+// auto-detection.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -82,32 +81,10 @@ void refresh_header_crc(std::vector<char>& bytes) {
   std::memcpy(bytes.data() + sizeof(fmt::Header) - 4, &crc, sizeof crc);
 }
 
-/// Recomputes one section's footer CRC entry (plus the footer CRC) after a
-/// deliberate payload edit, so the loader reaches the semantic check under
-/// test instead of stopping at the CRC mismatch.
-void refresh_section_crc(std::vector<char>& bytes, std::uint32_t id) {
-  fmt::Header h;
-  std::memcpy(&h, bytes.data(), sizeof h);
-  const fmt::FileLayout layout =
-      fmt::FileLayout::compute(h.num_nodes, h.num_edges, h.flags);
-  for (std::size_t i = 0; i < layout.sections.size(); ++i) {
-    const fmt::SectionLayout& s = layout.sections[i];
-    if (s.id != id) continue;
-    const std::uint32_t crc = util::crc32(bytes.data() + s.offset,
-                                          static_cast<std::size_t>(s.length));
-    std::memcpy(
-        bytes.data() + h.footer_offset + i * sizeof(fmt::SectionEntry) + 4,
-        &crc, sizeof crc);
-    refresh_footer_crc(bytes);
-    return;
-  }
-  FAIL() << "section " << id << " absent from the layout";
-}
-
 TEST(InstanceFormatTest, LayoutIsPureFunctionOfShape) {
   const fmt::FileLayout layout =
-      fmt::FileLayout::compute(100, 400, fmt::kFlagPackTables);
-  EXPECT_EQ(layout.sections.size(), 13u);  // 9 base + 4 pack, no q columns
+      fmt::FileLayout::compute(100, 400, fmt::kFlagGeneralized);
+  EXPECT_EQ(layout.sections.size(), 11u);  // 9 base + the 2 q columns
   for (const fmt::SectionLayout& s : layout.sections) {
     EXPECT_EQ(s.offset % fmt::kSectionAlign, 0u) << "section " << s.id;
   }
@@ -146,115 +123,6 @@ TEST(InstanceFormatTest, GeneralizedModelRoundTrips) {
   const AccuInstance loaded = read_instance_binary_file(bin);
   EXPECT_TRUE(loaded.has_generalized_cautious());
   EXPECT_EQ(text_of(loaded), text_of(original));
-}
-
-TEST(InstanceFormatTest, PackTableAdoptionIsBitIdentical) {
-  const AccuInstance original = small_instance(4);
-  const std::string bin = temp_path("fmt_adopt.accui");
-  write_instance_binary_file(original, bin, /*with_pack_tables=*/true);
-  const AccuInstance loaded = read_instance_binary_file(bin);
-  ASSERT_NE(loaded.pack_tables(), nullptr);
-
-  ScorePack recomputed;
-  recomputed.build(original);  // per-slot walk, no tables attached
-  ScorePack adopted;
-  adopted.build(loaded);  // memcpy from the mapped sections
-  ASSERT_EQ(adopted.num_slots(), recomputed.num_slots());
-  const std::size_t slots = adopted.num_slots();
-  EXPECT_EQ(std::memcmp(adopted.mirror_all().data(),
-                        recomputed.mirror_all().data(),
-                        slots * sizeof(std::uint32_t)),
-            0);
-  EXPECT_EQ(std::memcmp(adopted.d_init_all().data(),
-                        recomputed.d_init_all().data(),
-                        slots * sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(adopted.i_gain_all().data(),
-                        recomputed.i_gain_all().data(),
-                        slots * sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(adopted.slot_theta_all().data(),
-                        recomputed.slot_theta_all().data(),
-                        slots * sizeof(std::uint32_t)),
-            0);
-  EXPECT_EQ(std::memcmp(adopted.slot_nodes_all().data(),
-                        recomputed.slot_nodes_all().data(),
-                        slots * sizeof(NodeId)),
-            0);
-}
-
-TEST(InstanceFormatTest, TamperedPackTablesAreRejected) {
-  // CRC-*consistent* tampering: the payload edit and the footer CRCs agree,
-  // so only the loader's semantic pass over the adopted tables can catch
-  // it.  Each case is an invariant the engine relies on for memory safety
-  // or finite arithmetic.
-  const AccuInstance original = small_instance(10);
-  const std::string bin = temp_path("fmt_pack_tamper.accui");
-  write_instance_binary_file(original, bin, /*with_pack_tables=*/true);
-  const std::vector<char> pristine = read_bytes(bin);
-  fmt::Header h;
-  std::memcpy(&h, pristine.data(), sizeof h);
-  ASSERT_NE(h.flags & fmt::kFlagPackTables, 0u);
-  const fmt::FileLayout layout =
-      fmt::FileLayout::compute(h.num_nodes, h.num_edges, h.flags);
-  const auto offset_of = [&](std::uint32_t id) -> std::size_t {
-    for (const fmt::SectionLayout& s : layout.sections) {
-      if (s.id == id) return static_cast<std::size_t>(s.offset);
-    }
-    throw std::logic_error("section missing");
-  };
-
-  const auto expect_rejected = [&](std::vector<char> bytes, std::uint32_t id,
-                                   const std::string& needle) {
-    refresh_section_crc(bytes, id);
-    write_bytes(bin, bytes);
-    try {
-      (void)read_instance_binary_file(bin);
-      FAIL() << "expected IoError mentioning '" << needle << "'";
-    } catch (const IoError& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << e.what();
-    }
-  };
-
-  {  // mirror index past the slot space: would drive OOB contrib writes
-    std::vector<char> bytes = pristine;
-    const std::uint32_t oob = 0x7FFFFFF0u;
-    std::memcpy(bytes.data() + offset_of(fmt::kMirror), &oob, 4);
-    expect_rejected(std::move(bytes), fmt::kMirror, "mirror");
-  }
-  {  // in-range self-link: still not the twin slot of its edge
-    std::vector<char> bytes = pristine;
-    const std::uint32_t self = 0;
-    std::memcpy(bytes.data() + offset_of(fmt::kMirror), &self, 4);
-    expect_rejected(std::move(bytes), fmt::kMirror, "mirror");
-  }
-  {  // slot_theta = 0 would put 1/0 into the engine's blank contributions
-    std::vector<char> bytes = pristine;
-    const std::uint32_t zero = 0;
-    std::memcpy(bytes.data() + offset_of(fmt::kSlotTheta), &zero, 4);
-    expect_rejected(std::move(bytes), fmt::kSlotTheta, "slot_theta");
-  }
-  {  // nonzero i_gain on a reckless-neighbor slot breaks the P_I gathers
-    const auto adj = original.graph().raw_adjacency();
-    std::size_t s = 0;
-    while (s < adj.size() && original.is_cautious(adj[s].node)) ++s;
-    ASSERT_LT(s, adj.size());
-    std::vector<char> bytes = pristine;
-    const double one = 1.0;
-    std::memcpy(bytes.data() + offset_of(fmt::kIGain) + s * 8, &one, 8);
-    expect_rejected(std::move(bytes), fmt::kIGain, "i_gain");
-  }
-  {  // non-finite d_init
-    std::vector<char> bytes = pristine;
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    std::memcpy(bytes.data() + offset_of(fmt::kDInit), &nan, 8);
-    expect_rejected(std::move(bytes), fmt::kDInit, "d_init");
-  }
-
-  // Restored, the file loads and matches — the tampering matrix is sound.
-  write_bytes(bin, pristine);
-  EXPECT_EQ(text_of(read_instance_binary_file(bin)), text_of(original));
 }
 
 TEST(InstanceFormatTest, SimulationTraceIdenticalAcrossFormats) {
@@ -349,10 +217,12 @@ TEST(InstanceFormatTest, HeaderAndFooterCorruptionIsDetected) {
     bytes[0] = 'X';
     expect_rejected(bytes, "magic");
   }
-  {  // future version, CRC made consistent so the version check fires
+  // A future version, and the previous one (v1 files carried ScorePack
+  // slot tables this loader no longer reads); the CRC is made consistent
+  // so the version check fires.
+  for (const std::uint32_t version : {fmt::kVersion + 1, fmt::kVersion - 1}) {
     std::vector<char> bytes = pristine;
-    const std::uint32_t v2 = 2;
-    std::memcpy(bytes.data() + 8, &v2, sizeof v2);
+    std::memcpy(bytes.data() + 8, &version, sizeof version);
     refresh_header_crc(bytes);
     expect_rejected(bytes, "version");
   }
@@ -370,6 +240,20 @@ TEST(InstanceFormatTest, HeaderAndFooterCorruptionIsDetected) {
     refresh_header_crc(bytes);
     expect_rejected(bytes, "flag");
   }
+  {  // node count past the uint32 id space
+    std::vector<char> bytes = pristine;
+    const std::uint64_t n = 0xFFFFFFFFull;
+    std::memcpy(bytes.data() + 16, &n, sizeof n);
+    refresh_header_crc(bytes);
+    expect_rejected(bytes, "exceeds");
+  }
+  {  // edge count past the 2m uint32 slot space
+    std::vector<char> bytes = pristine;
+    const std::uint64_t m = 1ull << 31;
+    std::memcpy(bytes.data() + 24, &m, sizeof m);
+    refresh_header_crc(bytes);
+    expect_rejected(bytes, "exceeds");
+  }
   {  // plain header bit rot
     std::vector<char> bytes = pristine;
     bytes[20] ^= 0x01;  // inside num_nodes
@@ -380,7 +264,7 @@ TEST(InstanceFormatTest, HeaderAndFooterCorruptionIsDetected) {
     bytes[static_cast<std::size_t>(h.footer_offset) + 8] ^= 0x01;
     expect_rejected(bytes, "footer");
   }
-  {  // reserved footer field must stay zero in v1
+  {  // reserved footer field must stay zero
     std::vector<char> bytes = pristine;
     bytes[static_cast<std::size_t>(h.footer_offset) + 24] = 1;
     refresh_footer_crc(bytes);
@@ -492,34 +376,12 @@ TEST(InstanceFormatTest, StreamGenOutputIsAValidAdoptableInstance) {
   const AccuInstance instance = read_instance_binary_file(path);
   EXPECT_EQ(instance.num_nodes(), config.num_nodes);
   EXPECT_EQ(instance.num_cautious(), config.num_cautious);
-  ASSERT_NE(instance.pack_tables(), nullptr);
 
-  // The generator's cursor-simulated slot tables must equal a from-scratch
-  // ScorePack build on the same instance, bit for bit.
-  ScorePack adopted;
-  adopted.build(instance);
-  AccuInstance stripped = instance;
-  stripped.attach_pack_tables(nullptr);
-  ScorePack recomputed;
-  recomputed.build(stripped);
-  ASSERT_EQ(adopted.num_slots(), recomputed.num_slots());
-  const std::size_t slots = adopted.num_slots();
-  EXPECT_EQ(std::memcmp(adopted.mirror_all().data(),
-                        recomputed.mirror_all().data(),
-                        slots * sizeof(std::uint32_t)),
-            0);
-  EXPECT_EQ(std::memcmp(adopted.d_init_all().data(),
-                        recomputed.d_init_all().data(),
-                        slots * sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(adopted.i_gain_all().data(),
-                        recomputed.i_gain_all().data(),
-                        slots * sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(adopted.slot_theta_all().data(),
-                        recomputed.slot_theta_all().data(),
-                        slots * sizeof(std::uint32_t)),
-            0);
+  // The generator and the in-memory serializer emit the same bytes for the
+  // same instance: repacking the loaded file reproduces it exactly.
+  const std::string repacked = temp_path("fmt_gen_repacked.accui");
+  write_instance_binary_file(instance, repacked);
+  EXPECT_EQ(read_bytes(repacked), read_bytes(path));
 
   // And the instance actually drives an attack.
   util::Rng rng(1);
@@ -534,13 +396,11 @@ TEST(InstanceFormatTest, StreamGenWithoutPackTables) {
   datasets::StreamGenConfig config;
   config.num_nodes = 1000;
   config.num_cautious = 10;
-  config.pack_tables = false;
   const std::string path = temp_path("fmt_gen_nopack.accui");
   (void)datasets::generate_instance_stream(config, path);
   const AccuInstance instance = read_instance_binary_file(path);
-  EXPECT_EQ(instance.pack_tables(), nullptr);
   ScorePack pack;
-  pack.build(instance);  // recompute path still works
+  pack.build(instance);
   EXPECT_EQ(pack.num_slots(), 2u * instance.graph().num_edges());
 }
 

@@ -150,12 +150,6 @@ TEST(ScorePackTest, ColumnsAndSlotsMatchTheInstance) {
       }
       for (const graph::Neighbor& nb : g.neighbors(u)) {
         EXPECT_EQ(pack.slot_node(slot), nb.node) << u;
-        // Mirror involution: the reverse slot sits in nb.node's row, points
-        // back at u, and mirrors back to this slot.
-        const std::uint32_t m = pack.mirror(slot);
-        EXPECT_EQ(pack.slot_node(m), u) << u;
-        EXPECT_EQ(pack.mirror(m), slot) << u;
-        EXPECT_GE(m, pack.row_begin(nb.node)) << u;
         // Slot-constant term numerators.
         const double prior = g.edge_prob(nb.edge);
         EXPECT_EQ(pack.d_init(slot), prior * benefits.fof_benefit(nb.node))
@@ -163,7 +157,6 @@ TEST(ScorePackTest, ColumnsAndSlotsMatchTheInstance) {
         if (instance.is_cautious(nb.node)) {
           EXPECT_EQ(pack.i_gain(slot), prior * benefits.upgrade_gain(nb.node))
               << u;
-          EXPECT_EQ(pack.slot_theta(slot), instance.threshold(nb.node)) << u;
         } else {
           EXPECT_EQ(pack.i_gain(slot), 0.0) << u;
         }

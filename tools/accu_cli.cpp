@@ -96,13 +96,14 @@ constexpr const char* kUsage =
     "             --wi, --seed)\n"
     "  ratio      submodularity ratios, small instances only (--in=FILE)\n"
     "  pack       text instance -> binary .accui for zero-parse mmap loads\n"
-    "             (--in=FILE, --out=FILE, --no-pack-tables)\n"
+    "             (--in=FILE, --out=FILE); .accui files of an older format\n"
+    "             version are rejected: re-pack them, or re-run synth\n"
+    "             with the same seed\n"
     "  unpack     binary .accui -> canonical text instance (--in=FILE,\n"
     "             --out=FILE)\n"
     "  synth      out-of-core generator, writes binary directly (--nodes,\n"
     "             --avg-degree, --alpha, --cautious, --cautious-bf,\n"
-    "             --theta, --seed, --batch-bytes, --no-pack-tables,\n"
-    "             --out=FILE)\n"
+    "             --theta, --seed, --batch-bytes, --out=FILE)\n"
     "  serve      crash-safe sweep daemon (accu serve <run|submit|status|\n"
     "             stop> --root=DIR; run: --workers, --max-queued, --rate,\n"
     "             --burst, --crash-budget, --poll-ms, --exit-when-idle;\n"
@@ -189,10 +190,9 @@ int cmd_pack(const util::Options& opts) {
   const std::string out = opts.get("out", in + ".accui");
   const AccuInstance instance =
       InstanceSource{in, InstanceSource::Format::kText}.load();
-  write_instance_binary_file(instance, out, !opts.has("no-pack-tables"));
-  std::printf("packed %s -> %s: %u users, %u edges%s\n", in.c_str(),
-              out.c_str(), instance.num_nodes(), instance.graph().num_edges(),
-              opts.has("no-pack-tables") ? "" : ", score tables embedded");
+  write_instance_binary_file(instance, out);
+  std::printf("packed %s -> %s: %u users, %u edges\n", in.c_str(),
+              out.c_str(), instance.num_nodes(), instance.graph().num_edges());
   return 0;
 }
 
@@ -223,7 +223,6 @@ int cmd_synth(const util::Options& opts) {
   config.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
   config.batch_bytes = static_cast<std::uint64_t>(opts.get_int(
       "batch-bytes", static_cast<long long>(config.batch_bytes)));
-  config.pack_tables = !opts.has("no-pack-tables");
   const std::string out = opts.get("out", "synth.accui");
   const datasets::StreamGenStats stats =
       datasets::generate_instance_stream(config, out);
@@ -867,8 +866,6 @@ int dispatch(int argc, char** argv) {
       .declare("group-ms",
                "grouped durability: fsync at least every T ms "
                "(default 100)")
-      .declare("no-pack-tables",
-               "omit the embedded score slot tables (pack, synth)")
       .declare("nodes", "user count (synth)")
       .declare("avg-degree", "target mean total degree (synth)")
       .declare("alpha", "degree-tail exponent in (2, 8] (synth)")

@@ -13,8 +13,9 @@
 #   5. pack round-trip                  — `accu pack` converts a generated
 #      instance to the binary .accui format; the mmap-loaded sweep report
 #      must match the text-path report byte-for-byte, the unpack leg must
-#      reproduce the original text bytes, and a truncated pack must be
-#      rejected
+#      reproduce the original text bytes, a truncated pack must be
+#      rejected, and an `accu synth` file must load and repack
+#      byte-identically through unpack → pack
 #   6. serve drill                      — the real `accu serve` daemon is
 #      SIGKILLed mid-job, restarted, SIGTERM-drained, and restarted again;
 #      the finished report must match the direct sweep byte-for-byte.
@@ -177,7 +178,22 @@ if ./build-ci/tools/accu stats "--in=${PK}/torn.accui" > /dev/null 2>&1; then
   echo "FAIL: a truncated .accui file loaded instead of being rejected" >&2
   exit 1
 fi
-echo "pack round-trip OK: binary sweep report matches the text path"
+# Synth leg: the out-of-core generator's file must load (`accu stats`)
+# and survive unpack → pack byte for byte, which pins stream_gen's CSR
+# emission against the in-memory serializer through the real CLI.
+./build-ci/tools/accu synth --nodes=3000 --seed=5 \
+  "--out=${PK}/synth.accui" > /dev/null
+./build-ci/tools/accu stats "--in=${PK}/synth.accui" > /dev/null
+./build-ci/tools/accu unpack "--in=${PK}/synth.accui" \
+  "--out=${PK}/synth.accu" > /dev/null
+./build-ci/tools/accu pack "--in=${PK}/synth.accu" \
+  "--out=${PK}/synth-repacked.accui" > /dev/null
+cmp "${PK}/synth.accui" "${PK}/synth-repacked.accui" || {
+  echo "FAIL: synth -> unpack -> pack is not byte-identical" >&2
+  exit 1
+}
+echo "pack round-trip OK: binary sweep report matches the text path," \
+  "synth output repacks byte-identically"
 
 echo "=== serve drill: kill -9 mid-flight, restart, SIGTERM drain, finish ==="
 # End-to-end check of the serve contract with the real daemon binary, run
