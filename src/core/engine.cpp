@@ -21,11 +21,6 @@ const Realization& SimWorkspace::sample_truth(const AccuInstance& instance,
   return *truth_;
 }
 
-const ScorePack& SimWorkspace::score_pack(const AccuInstance& instance) {
-  if (!score_pack_.built_for(instance)) score_pack_.build(instance);
-  return score_pack_;
-}
-
 void SimWorkspace::set_cell_threads(unsigned threads) {
   const unsigned width = threads == 0 ? 1 : threads;
   if (width == cell_threads_) return;
@@ -40,12 +35,11 @@ TaskPool& SimWorkspace::task_pool() {
 
 namespace {
 
-/// Hands the workspace-pooled score pack to strategies that score through
+/// Hands the instance's shared score pack to strategies that score through
 /// the flat kernels; runs immediately before Strategy::reset.
-void offer_score_pack(const AccuInstance& instance, Strategy& strategy,
-                      SimWorkspace& ws) {
+void offer_score_pack(const AccuInstance& instance, Strategy& strategy) {
   if (strategy.wants_score_pack()) {
-    strategy.adopt_score_pack(ws.score_pack(instance));
+    strategy.adopt_score_pack(ScorePack::of(instance));
   }
 }
 
@@ -66,7 +60,7 @@ void simulate_into(const AccuInstance& instance, const Realization& truth,
   out.clear();
   out.trace.reserve(budget);
   view.arm_feedback(options.feedback);
-  offer_score_pack(instance, strategy, ws);
+  offer_score_pack(instance, strategy);
   offer_task_pool(strategy, ws);
   strategy.reset(instance, rng);
   if (options.faults != nullptr) {

@@ -33,7 +33,11 @@
 // simulation needs (the AttackerView's flat arrays, the acceptance-effects
 // scratch, the ground-truth realization, fault retry counters) so a sweep
 // that runs millions of cells performs O(1) allocations per cell instead
-// of O(V+E) — see DESIGN.md §10 for the reuse rules.
+// of O(V+E) — see DESIGN.md §10 for the reuse rules.  Its state is mutable
+// per-simulation scratch, one workspace per worker; read-only tables that
+// depend on the instance alone (the score pack, the resample draw plan,
+// static orders, ABM seed heaps) are not pooled here but built once in the
+// instance's artifact cache (core/artifacts.hpp) and shared by all workers.
 
 #pragma once
 
@@ -72,12 +76,6 @@ class SimWorkspace {
   [[nodiscard]] const Realization& sample_truth(const AccuInstance& instance,
                                                 util::Rng& rng);
 
-  /// The flat SoA score pack for `instance`, built on first use and cached
-  /// by instance identity (AccuInstance::uid), so a sweep that re-runs the
-  /// same instance across cells shares one pack allocation-free.
-  /// `simulate_into` offers it to strategies via Strategy::adopt_score_pack.
-  [[nodiscard]] const ScorePack& score_pack(const AccuInstance& instance);
-
   /// Configures the width of the intra-cell task pool offered to strategies
   /// (total concurrency including the simulating thread; default 1 =
   /// sequential).  Changing the width tears the pool down and respawns it
@@ -96,7 +94,6 @@ class SimWorkspace {
  private:
   std::optional<AttackerView> view_;
   std::optional<Realization> truth_;
-  ScorePack score_pack_;
   unsigned cell_threads_ = 1;
   std::optional<TaskPool> task_pool_;
 };

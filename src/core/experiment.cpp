@@ -321,6 +321,15 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
     }
   }
 
+  // Owned cells still to run per sample.  The last one to finish drops the
+  // sample's instance — and with it the instance's artifact cache (score
+  // pack, draw plan, static orders, ABM seed heaps) — so a sweep over many
+  // samples does not hold every sample's tables until it ends.
+  std::vector<std::atomic<std::uint32_t>> cells_left(config.samples);
+  for (std::size_t task = 0; task < tasks; ++task) {
+    if (!done[task]) cells_left[task / config.runs].fetch_add(1);
+  }
+
   std::uint32_t workers = config.threads;
   if (workers == 0) workers = std::thread::hardware_concurrency();
   if (workers == 0) workers = 1;
@@ -360,7 +369,6 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
 
   const bool faulty = config.faults.total_rate() > 0.0;
   auto run_task = [&](std::size_t task, CellSlot& slot, WorkerState& worker) {
-    if (done[task]) return;
     if (worker.strategies.size() != strategies.size()) {
       worker.strategies.clear();
       worker.strategies.reserve(strategies.size());
@@ -508,12 +516,19 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
   // a sweep-wide stop (worker threads must not leak exceptions).
   auto drive_task = [&](std::size_t task, CellSlot& slot,
                         WorkerState& worker) {
+    if (done[task]) return;
     try {
       run_task(task, slot, worker);
     } catch (...) {
       const std::lock_guard<std::mutex> lock(failure_mutex);
       if (!io_failure) io_failure = std::current_exception();
       stop.store(true, std::memory_order_release);
+    }
+    // Strategies and workspaces keep only non-owning pointers into the
+    // instance, which their next reset replaces.
+    const std::size_t sample = task / config.runs;
+    if (cells_left[sample].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      instances[sample].reset();
     }
   };
 

@@ -15,12 +15,15 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/benefit.hpp"
 #include "core/types.hpp"
 
 namespace accu {
+
+class InstanceArtifacts;  // core/artifacts.hpp
 
 /// Parameters of the *generalized* cautious acceptance model the paper
 /// discusses in §III-B: a cautious user accepts with probability q1 while
@@ -110,9 +113,16 @@ class AccuInstance {
 
   /// Process-unique identity of this instance's *contents*: assigned from a
   /// global counter at construction and carried along by copies/moves (which
-  /// preserve the contents).  Lets caches keyed on an instance (the score
-  /// pack in SimWorkspace) detect address reuse without hashing the data.
+  /// preserve the contents).  Lets caches keyed on an instance detect
+  /// address reuse without hashing the data.
   [[nodiscard]] std::uint64_t uid() const noexcept { return uid_; }
+
+  /// The lazily-filled cache of tables derived from this instance alone
+  /// (core/artifacts.hpp).  Shared by every copy, like the uid; empty after
+  /// construction, so building an instance pays for none of them.
+  [[nodiscard]] InstanceArtifacts& artifacts() const noexcept {
+    return *artifacts_;
+  }
 
  private:
   void validate();
@@ -131,6 +141,7 @@ class AccuInstance {
   std::vector<double> cautious_above_;
   bool generalized_ = false;
   std::uint64_t uid_ = next_uid();
+  std::shared_ptr<InstanceArtifacts> artifacts_;
 };
 
 }  // namespace accu

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/artifacts.hpp"
 #include "core/score_simd.hpp"
 
 namespace accu {
@@ -99,9 +100,6 @@ void Realization::resample_reference(const AccuInstance& instance,
 void Realization::DrawPlan::build(const AccuInstance& instance) {
   const Graph& g = instance.graph();
   const NodeId n = g.num_nodes();
-  uid = instance.uid();
-  thresholds.clear();
-  runs.clear();
   tmpl_[0].assign(util::BitVec::num_words(g.num_edges()), 0);
   tmpl_[1].assign(util::BitVec::num_words(n), 0);
   tmpl_[2].assign(util::BitVec::num_words(n), 0);
@@ -152,9 +150,17 @@ void Realization::DrawPlan::build(const AccuInstance& instance) {
   num_draws = thresholds.size();
 }
 
+const Realization::DrawPlan& Realization::plan(const AccuInstance& instance) {
+  return instance.artifacts().get<DrawPlan>({typeid(DrawPlan)}, [&] {
+    DrawPlan built;
+    built.build(instance);
+    return built;
+  });
+}
+
 void Realization::resample(const AccuInstance& instance, util::Rng& rng) {
   const Graph& g = instance.graph();
-  if (plan_.uid != instance.uid()) plan_.build(instance);
+  const DrawPlan& plan = Realization::plan(instance);
   const NodeId n = g.num_nodes();
   edge_present_.resize(g.num_edges());
   accepts_.resize(n);
@@ -167,16 +173,16 @@ void Realization::resample(const AccuInstance& instance, util::Rng& rng) {
       edge_present_.words().data(), accepts_.words().data(),
       cautious_below_.words().data(), cautious_above_.words().data()};
   for (int a = 0; a < 4; ++a) {
-    std::copy(plan_.tmpl_[a].begin(), plan_.tmpl_[a].end(), dest[a]);
+    std::copy(plan.tmpl_[a].begin(), plan.tmpl_[a].end(), dest[a]);
   }
 
-  raw_.resize(plan_.num_draws);
-  packed_.resize(util::BitVec::num_words(plan_.num_draws));
-  rng.fill_raw(raw_.data(), plan_.num_draws);  // same stream + end state as
-                                               // the reference's draw loop
-  simd::kernels().bernoulli_pack(raw_.data(), plan_.thresholds.data(),
-                                 plan_.num_draws, packed_.data());
-  for (const DrawPlan::Run& run : plan_.runs) {
+  raw_.resize(plan.num_draws);
+  packed_.resize(util::BitVec::num_words(plan.num_draws));
+  rng.fill_raw(raw_.data(), plan.num_draws);  // same stream + end state as
+                                              // the reference's draw loop
+  simd::kernels().bernoulli_pack(raw_.data(), plan.thresholds.data(),
+                                 plan.num_draws, packed_.data());
+  for (const DrawPlan::Run& run : plan.runs) {
     or_bit_range(packed_.data(), run.draw_begin, dest[run.array],
                  run.dest_begin, run.count);
   }

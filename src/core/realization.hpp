@@ -38,10 +38,10 @@ class Realization {
   /// Re-samples in place, reusing the coin/edge storage (the workspace
   /// path) — draw-for-draw identical to `sample`.
   ///
-  /// This is the batched fast path: a cached per-instance *draw plan*
-  /// (rebuilt when the instance uid changes, allocation-free once the
-  /// pooled buffers have grown) lists every Bernoulli draw the reference
-  /// loop would make, in order, as an integer threshold
+  /// This is the batched fast path: the instance's *draw plan* (built once
+  /// per instance and kept in its artifact cache, shared by every copy and
+  /// worker) lists every Bernoulli draw the reference loop would make, in
+  /// order, as an integer threshold
   /// (util::Rng::bernoulli_threshold); resampling bulk-fills the raw
   /// xoshiro outputs (Rng::fill_raw — same stream, same end state), packs
   /// the compares 64 per word through the active SIMD kernel
@@ -132,9 +132,10 @@ class Realization {
   /// Shape-less; only `sample` uses it (resample fills every vector).
   Realization() = default;
 
-  /// The cached draw schedule of one instance: which events the reference
-  /// loop draws (vs decides deterministically), their thresholds in draw
-  /// order, and how the drawn bits scatter into the four bit vectors.
+  /// The draw schedule of one instance: which events the reference loop
+  /// draws (vs decides deterministically), their thresholds in draw order,
+  /// and how the drawn bits scatter into the four bit vectors.  Immutable
+  /// once built; `plan` keeps one per instance in its artifact cache.
   struct DrawPlan {
     /// A maximal stretch of consecutive draws landing on consecutive bits
     /// of one destination array (most instances need only two: all edges,
@@ -146,7 +147,6 @@ class Realization {
       std::uint8_t array;       // 0 edges, 1 accepts, 2 below, 3 above
     };
 
-    std::uint64_t uid = 0;  // AccuInstance::uid the plan was built for
     std::size_t num_draws = 0;
     std::vector<std::uint64_t> thresholds;  // per draw, in draw order
     std::vector<Run> runs;
@@ -156,7 +156,9 @@ class Realization {
     void build(const AccuInstance& instance);
   };
 
-  DrawPlan plan_;
+  /// The instance's shared draw plan, built on first request.
+  [[nodiscard]] static const DrawPlan& plan(const AccuInstance& instance);
+
   std::vector<std::uint64_t> raw_;     // pooled raw xoshiro outputs
   std::vector<std::uint64_t> packed_;  // pooled packed compare bits
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <limits>
 
+#include "core/artifacts.hpp"
 #include "core/score_simd.hpp"
 #include "core/task_pool.hpp"
 
@@ -24,6 +25,15 @@ void for_each_cautious(const ScorePack& pack, F&& f) {
 }
 }  // namespace
 
+const ScorePack& ScorePack::of(const AccuInstance& instance) {
+  return instance.artifacts().get<ScorePack>(
+      {typeid(ScorePack)}, [&instance] {
+        ScorePack pack;
+        pack.build(instance);
+        return pack;
+      });
+}
+
 void ScorePack::build(const AccuInstance& instance) {
   const Graph& g = instance.graph();
   const NodeId n = g.num_nodes();
@@ -31,7 +41,6 @@ void ScorePack::build(const AccuInstance& instance) {
   if (slots >= std::numeric_limits<std::uint32_t>::max()) {
     throw InvalidArgument("ScorePack: instance too large for 32-bit slots");
   }
-  instance_ = &instance;
   uid_ = instance.uid();
   num_nodes_ = n;
 

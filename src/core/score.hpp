@@ -12,8 +12,9 @@
 //    direct/indirect term numerators d_init / i_gain), per-node benefit /
 //    acceptance columns, cautious flags as a bitset, thresholds as flat
 //    uint32.  Built by one walk over the instance (there is no other way
-//    to obtain a pack), once per AccuInstance (identity-checked via
-//    AccuInstance::uid), and pooled in SimWorkspace.
+//    to obtain a pack), once per AccuInstance: ScorePack::of keeps it in
+//    the instance's artifact cache (core/artifacts.hpp), shared by every
+//    copy of the instance and every worker.
 //
 //  * score_batch — the stateless batched rescore: scores a span of
 //    candidate ids against an AttackerView in one pass, reading only the
@@ -68,20 +69,18 @@ class ScorePack {
  public:
   ScorePack() = default;
 
-  /// (Re)builds the pack for `instance`, reusing array capacity — a pack
-  /// pooled in a workspace rebuilds allocation-free once its buffers have
-  /// grown to the largest instance seen.
+  /// The instance's shared pack: built on first request and kept in its
+  /// artifact cache, so every copy of the instance and every worker thread
+  /// reads the same object.  Valid while any copy of the instance lives.
+  [[nodiscard]] static const ScorePack& of(const AccuInstance& instance);
+
+  /// (Re)builds the pack for `instance`, reusing array capacity.
   void build(const AccuInstance& instance);
 
-  /// Whether this pack currently describes `instance` (same object, same
-  /// construction — AccuInstance::uid guards against address reuse).
+  /// Whether this pack describes `instance`: built from it or from a copy
+  /// (copies share the uid, and their contents).
   [[nodiscard]] bool built_for(const AccuInstance& instance) const noexcept {
-    return instance_ == &instance && uid_ == instance.uid();
-  }
-  [[nodiscard]] bool empty() const noexcept { return instance_ == nullptr; }
-  [[nodiscard]] const AccuInstance& instance() const {
-    ACCU_ASSERT(instance_ != nullptr);
-    return *instance_;
+    return uid_ == instance.uid();
   }
 
   [[nodiscard]] NodeId num_nodes() const noexcept { return num_nodes_; }
@@ -134,8 +133,7 @@ class ScorePack {
   }
 
  private:
-  const AccuInstance* instance_ = nullptr;
-  std::uint64_t uid_ = 0;
+  std::uint64_t uid_ = 0;  // AccuInstance::uid; 0 (never live) before build
   NodeId num_nodes_ = 0;
 
   std::vector<std::uint32_t> row_begin_;  // size n+1; CSR offsets as u32

@@ -143,12 +143,13 @@ class Strategy {
   /// "not fault-aware": every faulted request is abandoned.
   [[nodiscard]] virtual FaultObserver* as_fault_observer() { return nullptr; }
 
-  /// Score-pack pooling (core/score.hpp).  A strategy that scores through
+  /// Score-pack offer (core/score.hpp).  A strategy that scores through
   /// the flat SoA kernels returns true here; `simulate_into` then offers
-  /// the workspace-pooled pack for the upcoming instance via
-  /// adopt_score_pack immediately before reset(), saving a per-simulation
-  /// rebuild.  An adopted pack is valid only for the simulation whose
-  /// reset() follows; strategies without an offer build their own.
+  /// the instance's shared pack (ScorePack::of) via adopt_score_pack
+  /// immediately before reset().  The offer is the same object reset()
+  /// reads from the instance's artifact cache, so strategies need not keep
+  /// it; decorators forward both calls, and a timing wrapper can measure
+  /// the fetch as the gap between them.
   [[nodiscard]] virtual bool wants_score_pack() const { return false; }
   virtual void adopt_score_pack(const ScorePack& pack) { (void)pack; }
 

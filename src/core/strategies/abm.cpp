@@ -1,7 +1,10 @@
 #include "core/strategies/abm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+
+#include "core/artifacts.hpp"
 
 namespace accu {
 
@@ -97,42 +100,45 @@ double AbmStrategy::potential(const AttackerView& view, NodeId u) const {
   return q * value;
 }
 
-void AbmStrategy::adopt_score_pack(const ScorePack& pack) {
-  adopted_pack_ = &pack;
-  adopt_fresh_ = true;
-}
-
 void AbmStrategy::reset(const AccuInstance& instance, util::Rng& rng) {
   (void)rng;
   instance_ = &instance;
   if (!config_.incremental) return;
-  // Use the workspace's pooled pack only when it was handed over for *this*
-  // simulation (a stale pointer from an earlier workspace may dangle).
-  const ScorePack* pack = nullptr;
-  if (adopt_fresh_ && adopted_pack_ != nullptr &&
-      adopted_pack_->built_for(instance)) {
-    pack = adopted_pack_;
-  }
-  adopt_fresh_ = false;
-  adopted_pack_ = pack;
-  if (pack == nullptr) {
-    if (!own_pack_.built_for(instance)) own_pack_.build(instance);
-    pack = &own_pack_;
-  }
-  engine_.reset(*pack, config_.weights);
+  engine_.reset(ScorePack::of(instance), config_.weights);
   version_.assign(instance.num_nodes(), 0);
   heap_.clear();  // keeps capacity for the next seed_heap
   heap_seeded_ = false;
   blank_since_reset_ = true;
 }
 
+const std::vector<AbmStrategy::HeapEntry>& AbmStrategy::blank_heap(
+    const AccuInstance& instance, const PotentialWeights& weights) {
+  return instance.artifacts().get<std::vector<HeapEntry>>(
+      {typeid(HeapEntry), std::bit_cast<std::uint64_t>(weights.direct),
+       std::bit_cast<std::uint64_t>(weights.indirect)},
+      [&] {
+        ScoreEngine engine;
+        engine.reset(ScorePack::of(instance), weights);
+        std::vector<HeapEntry> heap;
+        heap.reserve(instance.num_nodes());
+        for (NodeId u = 0; u < instance.num_nodes(); ++u) {
+          heap.push_back(HeapEntry{engine.score(u), u, 0});
+        }
+        // make_heap instead of n push_heaps: pop order is unaffected (the
+        // comparator is a strict total order — (value, node) pairs are
+        // unique).
+        std::make_heap(heap.begin(), heap.end());
+        return heap;
+      });
+}
+
 void AbmStrategy::seed_heap() {
   heap_seeded_ = true;
-  // With no event since reset the engine is in its blank state, whose
-  // scores depend only on the instance and this object's weights: reuse
-  // the heap an earlier cell built for the same instance.
-  if (blank_since_reset_ && blank_heap_uid_ == instance_->uid()) {
-    heap_ = blank_heap_;
+  // With no event since reset the engine is in its blank state (versions 0,
+  // no dirty bits), whose scores depend only on the instance and this
+  // object's weights: copy the instance's shared blank heap.
+  if (blank_since_reset_) {
+    heap_ = blank_heap(*instance_, config_.weights);
     return;
   }
   heap_.clear();
@@ -141,13 +147,7 @@ void AbmStrategy::seed_heap() {
     engine_.consume_dirty(u);
     heap_.push_back(HeapEntry{engine_.score(u), u, version_[u]});
   }
-  // make_heap instead of n push_heaps: pop order is unaffected (the
-  // comparator is a strict total order — (value, node) pairs are unique).
   std::make_heap(heap_.begin(), heap_.end());
-  if (blank_since_reset_) {
-    blank_heap_ = heap_;
-    blank_heap_uid_ = instance_->uid();
-  }
 }
 
 void AbmStrategy::heap_push(HeapEntry entry) {

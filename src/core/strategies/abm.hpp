@@ -36,9 +36,10 @@
 // for the argument.  The heap itself is compacted in place whenever stale
 // entries outnumber live candidates 4:1, bounding its size over
 // arbitrarily long runs.  Per cell, reset() is O(n), and the first
-// select() copies the blank heap cached for the instance (keyed by
-// AccuInstance::uid) rather than scoring all n nodes, unless an event
-// arrived before it.
+// select() copies the instance's shared blank heap for this weight setting
+// (blank_heap, kept in the instance's artifact cache and built once for
+// all workers) rather than scoring all n nodes, unless an event arrived
+// before it.
 //
 // A property test pins the incremental policy to the O(n·Σdeg) scalar
 // reference (`Config::incremental = false`) trace-for-trace, bit-exactly.
@@ -78,8 +79,27 @@ class AbmStrategy final : public Strategy {
   [[nodiscard]] bool wants_score_pack() const override {
     return config_.incremental;
   }
-  void adopt_score_pack(const ScorePack& pack) override;
   [[nodiscard]] std::string name() const override;
+
+  /// One selection-heap entry.
+  struct HeapEntry {
+    double value;
+    NodeId node;
+    std::uint32_t version;
+    // Max-heap: higher potential first, ties to the smaller node id so the
+    // incremental and reference modes pick identically.
+    friend bool operator<(const HeapEntry& a, const HeapEntry& b) noexcept {
+      if (a.value != b.value) return a.value < b.value;
+      return a.node > b.node;
+    }
+  };
+
+  /// The heapified blank-state seed heap of `instance` under `weights`:
+  /// every node scored by a freshly reset ScoreEngine, at version 0.  It
+  /// depends only on the instance and the exact weight bits, so it is kept
+  /// in the instance's artifact cache, one entry per weight setting.
+  [[nodiscard]] static const std::vector<HeapEntry>& blank_heap(
+      const AccuInstance& instance, const PotentialWeights& weights);
 
   /// Current size of the selection heap, stale entries included (exposed
   /// for the heap-compaction regression test).
@@ -104,26 +124,13 @@ class AbmStrategy final : public Strategy {
   }
 
  private:
-  struct HeapEntry {
-    double value;
-    NodeId node;
-    std::uint32_t version;
-    // Max-heap: higher potential first, ties to the smaller node id so the
-    // incremental and reference modes pick identically.
-    friend bool operator<(const HeapEntry& a, const HeapEntry& b) noexcept {
-      if (a.value != b.value) return a.value < b.value;
-      return a.node > b.node;
-    }
-  };
-
   /// Recomputes u's engine score, bumps its version and pushes an entry.
   void refresh(NodeId u);
 
   /// Scores every un-requested node from the engine state and heapifies —
   /// deferred from reset() to the first select() so a strategy that is
-  /// reset but never run pays nothing.  Copies the cached blank heap
-  /// instead when no event arrived since reset and the cache was built for
-  /// this instance.
+  /// reset but never run pays nothing.  Copies the instance's blank heap
+  /// instead when no event arrived since reset.
   void seed_heap();
 
   void heap_push(HeapEntry entry);
@@ -143,20 +150,12 @@ class AbmStrategy final : public Strategy {
   // identical to std::priority_queue) so reset() can keep its capacity.
   std::vector<HeapEntry> heap_;
   bool heap_seeded_ = false;
-  // The heapified blank-state seed of the instance with AccuInstance::uid
-  // blank_heap_uid_ (0, never a live uid, when none).  Valid to copy only
-  // while blank_since_reset_: no observe/observe_revelation since reset().
-  std::vector<HeapEntry> blank_heap_;
-  std::uint64_t blank_heap_uid_ = 0;
+  // No observe/observe_revelation since reset(): the engine is in its blank
+  // state, so blank_heap() is the exact heap a rescore would build.
   bool blank_since_reset_ = false;
-  // Incremental scoring state (config_.incremental only).  `own_pack_` is
-  // the fallback when no workspace pack was adopted for this simulation;
-  // `adopted_pack_` is only dereferenced when `adopt_fresh_` says the
-  // pointer was handed over for the simulation being reset right now.
+  // Incremental scoring state (config_.incremental only), over the
+  // instance's shared ScorePack.
   ScoreEngine engine_;
-  ScorePack own_pack_;
-  const ScorePack* adopted_pack_ = nullptr;
-  bool adopt_fresh_ = false;
 };
 
 /// The classic adaptive greedy of earlier adaptive-crawling papers

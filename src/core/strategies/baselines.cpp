@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/artifacts.hpp"
 #include "graph/pagerank.hpp"
 
 namespace accu {
@@ -22,31 +23,39 @@ NodeId RandomStrategy::select(const AttackerView& view, util::Rng& rng) {
   return cursor_ < order_.size() ? order_[cursor_++] : kInvalidNode;
 }
 
+const std::vector<NodeId>& StaticOrderStrategy::order(
+    const AccuInstance& instance) const {
+  return instance.artifacts().get<std::vector<NodeId>>(
+      {typeid(*this)}, [&] {
+        const std::vector<double> score = scores(instance);
+        ACCU_ASSERT(score.size() == instance.num_nodes());
+        std::vector<NodeId> sorted(instance.num_nodes());
+        std::iota(sorted.begin(), sorted.end(), NodeId{0});
+        std::stable_sort(
+            sorted.begin(), sorted.end(),
+            [&](NodeId a, NodeId b) { return score[a] > score[b]; });
+        return sorted;
+      });
+}
+
 void StaticOrderStrategy::reset(const AccuInstance& instance,
                                 util::Rng& rng) {
   (void)rng;
+  // Drop the old instance's order first: a throwing scores() must not
+  // leave a reference that outlives that instance.
+  order_ = nullptr;
   cursor_ = 0;
-  if (order_uid_ == instance.uid() && order_.size() == instance.num_nodes()) {
-    return;
-  }
-  // Drop the key before touching order_: a throwing scores() must not leave
-  // a half-built order that a later reset on the old instance would reuse.
-  order_uid_ = 0;
-  const std::vector<double> score = scores(instance);
-  ACCU_ASSERT(score.size() == instance.num_nodes());
-  order_.resize(instance.num_nodes());
-  std::iota(order_.begin(), order_.end(), NodeId{0});
-  std::stable_sort(order_.begin(), order_.end(),
-                   [&](NodeId a, NodeId b) { return score[a] > score[b]; });
-  order_uid_ = instance.uid();
+  order_ = &order(instance);
 }
 
 NodeId StaticOrderStrategy::select(const AttackerView& view, util::Rng& rng) {
   (void)rng;
-  while (cursor_ < order_.size() && view.is_requested(order_[cursor_])) {
+  ACCU_ASSERT_MSG(order_ != nullptr, "reset() must run before select()");
+  const std::vector<NodeId>& nodes = *order_;
+  while (cursor_ < nodes.size() && view.is_requested(nodes[cursor_])) {
     ++cursor_;
   }
-  return cursor_ < order_.size() ? order_[cursor_++] : kInvalidNode;
+  return cursor_ < nodes.size() ? nodes[cursor_++] : kInvalidNode;
 }
 
 std::vector<double> MaxDegreeStrategy::scores(

@@ -10,13 +10,11 @@
 //
 // MaxDegree and PageRank are static orders: their information never changes
 // with observations, which is exactly why ABM beats them in the paper.  The
-// order depends on the instance alone, so each strategy object builds it once
-// per instance and keeps it: reset() reruns scores() and the sort only when
-// the instance's AccuInstance::uid (or node count) differs from the one the
-// kept order was built for, and otherwise just rewinds the cursor.  A sweep
-// worker holds its strategies for the whole sweep, so a reused instance costs
-// one build per worker, not one per cell.  The memo is per object and
-// unsynchronized, like the rest of a strategy's state.
+// order depends on the instance alone, so it lives in the instance's
+// artifact cache (core/artifacts.hpp), keyed by the strategy's class: the
+// first reset() on an instance runs scores() and the sort, and every later
+// reset — on any copy of the instance, by any strategy object on any worker
+// thread — only points the cursor at the shared order and rewinds it.
 
 #pragma once
 
@@ -46,19 +44,25 @@ class StaticOrderStrategy : public Strategy {
   void reset(const AccuInstance& instance, util::Rng& rng) final;
   NodeId select(const AttackerView& view, util::Rng& rng) final;
 
+  /// This class's request order on `instance`: node ids stable-sorted by
+  /// descending scores(), ties by node id.  Built on first request and kept
+  /// in the instance's artifact cache under the strategy's dynamic type, so
+  /// every object of one class shares it; a scores() that throws leaves no
+  /// entry behind.
+  [[nodiscard]] const std::vector<NodeId>& order(
+      const AccuInstance& instance) const;
+
  protected:
   /// Per-node score; higher is requested earlier.  Ties break by node id.
-  /// Must depend on the instance's contents only: reset() calls it once per
-  /// distinct instance uid and reuses the resulting order.
+  /// Must depend on the instance's contents only: order() calls it once per
+  /// instance (and its copies) and class.
   [[nodiscard]] virtual std::vector<double> scores(
       const AccuInstance& instance) const = 0;
 
  private:
-  std::vector<NodeId> order_;
+  // The instance's shared order (not owned); set by reset().
+  const std::vector<NodeId>* order_ = nullptr;
   std::size_t cursor_ = 0;
-  // AccuInstance::uid order_ was built for; 0 (never a live uid) when none.
-  // Written only after the build completes.
-  std::uint64_t order_uid_ = 0;
 };
 
 class MaxDegreeStrategy final : public StaticOrderStrategy {

@@ -22,11 +22,6 @@ std::string BatchedAbmStrategy::name() const {
   return buf;
 }
 
-void BatchedAbmStrategy::adopt_score_pack(const ScorePack& pack) {
-  adopted_pack_ = &pack;
-  adopt_fresh_ = true;
-}
-
 void BatchedAbmStrategy::adopt_task_pool(TaskPool* pool) {
   task_pool_ = pool;
   pool_fresh_ = true;
@@ -37,19 +32,10 @@ void BatchedAbmStrategy::reset(const AccuInstance& instance, util::Rng&) {
   batch_.clear();
   cursor_ = 0;
   rounds_ = 0;
-  if (!adopt_fresh_ || adopted_pack_ == nullptr ||
-      !adopted_pack_->built_for(instance)) {
-    adopted_pack_ = nullptr;  // stale handover — never dereference it
-  }
-  adopt_fresh_ = false;
-  if (!pool_fresh_) task_pool_ = nullptr;  // same staleness rule as the pack
+  pack_ = &ScorePack::of(instance);
+  // A pool pointer from an earlier simulation's offer may dangle.
+  if (!pool_fresh_) task_pool_ = nullptr;
   pool_fresh_ = false;
-}
-
-const ScorePack& BatchedAbmStrategy::current_pack() {
-  if (adopted_pack_ != nullptr) return *adopted_pack_;
-  if (!own_pack_.built_for(*instance_)) own_pack_.build(*instance_);
-  return own_pack_;
 }
 
 void BatchedAbmStrategy::fill_batch(const AttackerView& view) {
@@ -61,7 +47,7 @@ void BatchedAbmStrategy::fill_batch(const AttackerView& view) {
   // potential for any pool width.
   const NodeId n = instance_->num_nodes();
   scores_.resize(n);
-  score_batch_all(current_pack(), view, weights_, batch_scratch_, task_pool_,
+  score_batch_all(*pack_, view, weights_, batch_scratch_, task_pool_,
                   scores_.data());
   for (NodeId u = 0; u < n; ++u) {
     if (view.is_requested(u)) continue;

@@ -33,7 +33,6 @@ class BatchedAbmStrategy final : public Strategy {
   void reset(const AccuInstance& instance, util::Rng& rng) override;
   NodeId select(const AttackerView& view, util::Rng& rng) override;
   [[nodiscard]] bool wants_score_pack() const override { return true; }
-  void adopt_score_pack(const ScorePack& pack) override;
   void adopt_task_pool(TaskPool* pool) override;
   [[nodiscard]] std::string name() const override;
 
@@ -48,13 +47,10 @@ class BatchedAbmStrategy final : public Strategy {
   /// the top `batch_size_` of them.
   void fill_batch(const AttackerView& view);
 
-  /// The SoA pack for the current instance (adopted from the workspace or
-  /// built locally).
-  [[nodiscard]] const ScorePack& current_pack();
-
   PotentialWeights weights_;
   std::uint32_t batch_size_;
   const AccuInstance* instance_ = nullptr;
+  const ScorePack* pack_ = nullptr;  // the instance's shared pack; not owned
   std::vector<NodeId> batch_;  // pending targets, best first
   std::size_t cursor_ = 0;
   std::uint32_t rounds_ = 0;
@@ -62,9 +58,6 @@ class BatchedAbmStrategy final : public Strategy {
   std::vector<std::pair<double, NodeId>> scored_;
   std::vector<double> scores_;
   ScoreBatchScratch batch_scratch_;
-  ScorePack own_pack_;
-  const ScorePack* adopted_pack_ = nullptr;
-  bool adopt_fresh_ = false;
   // The engine-offered intra-cell pool; rescore chunks fan across it.
   // Chunking never changes a value, so decisions are pool-width-invariant.
   TaskPool* task_pool_ = nullptr;

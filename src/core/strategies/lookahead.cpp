@@ -28,11 +28,6 @@ std::string LookaheadStrategy::name() const {
   return buf;
 }
 
-void LookaheadStrategy::adopt_score_pack(const ScorePack& pack) {
-  adopted_pack_ = &pack;
-  adopt_fresh_ = true;
-}
-
 void LookaheadStrategy::adopt_task_pool(TaskPool* pool) {
   task_pool_ = pool;
   pool_fresh_ = true;
@@ -40,19 +35,10 @@ void LookaheadStrategy::adopt_task_pool(TaskPool* pool) {
 
 void LookaheadStrategy::reset(const AccuInstance& instance, util::Rng&) {
   instance_ = &instance;
-  if (!adopt_fresh_ || adopted_pack_ == nullptr ||
-      !adopted_pack_->built_for(instance)) {
-    adopted_pack_ = nullptr;  // stale handover — never dereference it
-  }
-  adopt_fresh_ = false;
-  if (!pool_fresh_) task_pool_ = nullptr;  // same staleness rule as the pack
+  pack_ = &ScorePack::of(instance);
+  // A pool pointer from an earlier simulation's offer may dangle.
+  if (!pool_fresh_) task_pool_ = nullptr;
   pool_fresh_ = false;
-}
-
-const ScorePack& LookaheadStrategy::current_pack() {
-  if (adopted_pack_ != nullptr) return *adopted_pack_;
-  if (!own_pack_.built_for(*instance_)) own_pack_.build(*instance_);
-  return own_pack_;
 }
 
 double LookaheadStrategy::best_step_score(const ScorePack& pack,
@@ -134,7 +120,7 @@ double LookaheadStrategy::evaluate_candidate(const ScorePack& pack,
 NodeId LookaheadStrategy::select(const AttackerView& view, util::Rng& rng) {
   ACCU_ASSERT_MSG(instance_ != nullptr, "reset() must run before select()");
   const Graph& g = instance_->graph();
-  const ScorePack& pack = current_pack();  // resolved before any fan-out
+  const ScorePack& pack = *pack_;
 
   // Stage 1: rank candidates by the myopic score (chunked across the
   // intra-cell pool when one was offered; chunking is value-invariant).

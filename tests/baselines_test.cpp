@@ -154,11 +154,13 @@ TEST(StaticOrderTest, FailedBuildLeavesNoStaleHit) {
   strategy.reset(a, rng);
   strategy.fail_next = true;
   EXPECT_THROW(strategy.reset(b, rng), std::runtime_error);
-  EXPECT_THROW(strategy.reset(a, rng), std::runtime_error);  // rebuilds
+  EXPECT_THROW(strategy.reset(b, rng), std::runtime_error);  // rebuilds
+  strategy.reset(a, rng);  // a's completed order is still cached
+  EXPECT_EQ(strategy.score_calls, 3);
   strategy.fail_next = false;
-  strategy.reset(a, rng);
+  strategy.reset(b, rng);
   EXPECT_EQ(strategy.score_calls, 4);
-  strategy.reset(a, rng);
+  strategy.reset(b, rng);
   EXPECT_EQ(strategy.score_calls, 4);
 }
 

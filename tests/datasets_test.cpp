@@ -24,7 +24,7 @@ TEST(DatasetSpecTest, TableOneEntries) {
   EXPECT_EQ(specs[3].name, "dblp");
   EXPECT_EQ(specs[3].kind, "Collaboration");
   EXPECT_EQ(dataset_spec("twitter").paper_edges, 1768149u);
-  EXPECT_THROW(dataset_spec("myspace"), InvalidArgument);
+  EXPECT_THROW((void)dataset_spec("myspace"), InvalidArgument);
 }
 
 TEST(DatasetTopologyTest, MeanDegreeTracksPaperAtSmallScale) {

@@ -158,7 +158,7 @@ TEST(RecommendThresholdTest, RejectsEmptyCandidates) {
   const ThresholdInstanceFactory factory = [](double, std::uint64_t) {
     return facebook_like(0.3, 1);
   };
-  EXPECT_THROW(recommend_threshold(factory, {}, 0.5, model),
+  EXPECT_THROW((void)recommend_threshold(factory, {}, 0.5, model),
                InvalidArgument);
 }
 

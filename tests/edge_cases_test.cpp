@@ -149,7 +149,7 @@ TEST(LogTest, LevelGating) {
 TEST(TimerTest, MeasuresForwardTime) {
   util::Timer timer;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += static_cast<double>(i);
+  for (int i = 0; i < 100000; ++i) sink = sink + static_cast<double>(i);
   (void)sink;
   const double first = timer.seconds();
   EXPECT_GE(first, 0.0);

@@ -94,7 +94,7 @@ TEST(RunExperimentTest, ShapesAndNames) {
   const TraceAggregator& abm = result.by_name("ABM");
   EXPECT_EQ(abm.total_benefit().count(), 4u);  // samples × runs
   EXPECT_EQ(abm.cumulative_benefit().length(), 20u);
-  EXPECT_THROW(result.by_name("nope"), InvalidArgument);
+  EXPECT_THROW((void)result.by_name("nope"), InvalidArgument);
 }
 
 TEST(RunExperimentTest, DeterministicGivenSeed) {
@@ -148,7 +148,7 @@ TEST(RunExperimentTest, CumulativeBenefitIsMonotone) {
   config.seed = 13;
   const ExperimentResult result =
       run_experiment(tiny_factory(), two_strategies(), config);
-  for (const std::string& name : {"ABM", "Random"}) {
+  for (const char* name : {"ABM", "Random"}) {
     const auto means = result.by_name(name).cumulative_benefit().means();
     for (std::size_t i = 1; i < means.size(); ++i) {
       EXPECT_GE(means[i], means[i - 1] - 1e-9) << name << " @ " << i;

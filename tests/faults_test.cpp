@@ -89,7 +89,7 @@ TEST(FaultConfigTest, UniformSplitsEvenly) {
   EXPECT_DOUBLE_EQ(config.rate_limit_rate, 0.05);
   EXPECT_EQ(config.suspension_rounds, 5u);
   EXPECT_DOUBLE_EQ(config.total_rate(), 0.2);
-  EXPECT_THROW(FaultConfig::uniform(1.5), InvalidArgument);
+  EXPECT_THROW((void)FaultConfig::uniform(1.5), InvalidArgument);
 }
 
 TEST(FaultModelTest, ZeroRateNeverFaultsAndDrawsNothing) {

@@ -170,7 +170,7 @@ TEST(GeneralizedModelTest, SampledMarginalUsesRegimeProbabilities) {
 
 TEST(GeneralizedModelTest, TheoryToolsRejectGeneralizedInstances) {
   const AccuInstance instance = tiny_generalized(0.3, 0.9);
-  EXPECT_DEATH(realization_submodular_ratio(
+  EXPECT_DEATH((void)realization_submodular_ratio(
                    instance, Realization::certain(instance)),
                "deterministic");
 }

@@ -212,7 +212,9 @@ TEST_P(GeneratorDeterminismTest, NoSelfLoopsOrDuplicates) {
     const auto adj = g.neighbors(v);
     for (std::size_t i = 0; i < adj.size(); ++i) {
       EXPECT_NE(adj[i].node, v);
-      if (i > 0) EXPECT_NE(adj[i].node, adj[i - 1].node);
+      if (i > 0) {
+        EXPECT_NE(adj[i].node, adj[i - 1].node);
+      }
     }
   }
 }

@@ -163,7 +163,7 @@ TEST(InstanceFormatTest, AutoDetectionSniffsTheMagic) {
   EXPECT_THROW(
       (InstanceSource{text, InstanceSource::Format::kBinary}.load()),
       IoError);
-  EXPECT_THROW(is_binary_instance_file(temp_path("fmt_none")),
+  EXPECT_THROW((void)is_binary_instance_file(temp_path("fmt_none")),
                IoError);
 }
 

@@ -137,7 +137,7 @@ TEST(InstanceIoTest, RejectsSelfLoopWithLineNumber) {
       "nodes 2 edges 1\n"
       "e 1 1 0.5\n");
   try {
-    read_instance(in);
+    (void)read_instance(in);
     FAIL() << "expected IoError";
   } catch (const IoError& e) {
     const std::string what = e.what();
@@ -152,7 +152,7 @@ TEST(InstanceIoTest, DuplicateEdgeDiagnosticNamesEndpoints) {
       "e 0 1 0.5\n"
       "e 1 0 0.25\n");  // same undirected pair, reversed
   try {
-    read_instance(in);
+    (void)read_instance(in);
     FAIL() << "expected IoError";
   } catch (const IoError& e) {
     const std::string what = e.what();
@@ -168,7 +168,7 @@ TEST(InstanceIoTest, RejectsOverflowingCounts) {
     // One past the uint32 id space: silently narrowing would wrap to 0.
     std::stringstream in("nodes 4294967295 edges 0\n");
     try {
-      read_instance(in);
+      (void)read_instance(in);
       FAIL() << "expected IoError";
     } catch (const IoError& e) {
       EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos)
@@ -195,7 +195,7 @@ TEST(InstanceIoTest, RejectsOutOfRangeTheta) {
         "n 0 R 0.5 1 2 1 0 1\n"
         "n 1 C 0 " + theta + " 50 1 0 1\n");
     try {
-      read_instance(in);
+      (void)read_instance(in);
       FAIL() << "expected IoError for theta=" << theta;
     } catch (const IoError& e) {
       const std::string what = e.what();
@@ -218,7 +218,7 @@ TEST(InstanceIoTest, RejectsTrailingContent) {
       "n 1 R 0.5 1 2 1 0 1\n"
       "e 0 1 0.5\n");
   try {
-    read_instance(in);
+    (void)read_instance(in);
     FAIL() << "expected IoError";
   } catch (const IoError& e) {
     EXPECT_NE(std::string(e.what()).find("trailing"), std::string::npos)
@@ -266,7 +266,7 @@ TEST(InstanceIoTest, ErrorsCarryLineNumbers) {
         "n 0 R 0.5 1 2 1 0 1\n"
         "n 1 R nan 1 2 1 0 1\n");
     try {
-      read_instance(in);
+      (void)read_instance(in);
       FAIL() << "expected IoError";
     } catch (const IoError& e) {
       EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
@@ -278,7 +278,7 @@ TEST(InstanceIoTest, ErrorsCarryLineNumbers) {
     // the shortfall.
     std::stringstream in("nodes 3 edges 2\ne 0 1 0.5\n");
     try {
-      read_instance(in);
+      (void)read_instance(in);
       FAIL() << "expected IoError";
     } catch (const IoError& e) {
       const std::string what = e.what();
@@ -295,7 +295,7 @@ TEST(InstanceIoTest, TruncatedNodeSectionNamesShortfall) {
       "e 0 1 0.5\n"
       "n 0 R 0.5 1 2 1 0 1\n");
   try {
-    read_instance(in);
+    (void)read_instance(in);
     FAIL() << "expected IoError";
   } catch (const IoError& e) {
     const std::string what = e.what();

@@ -228,7 +228,8 @@ TEST(DurabilityPolicyTest, ParsesModesAndRejectsUnknown) {
             DurabilityPolicy::Mode::kStrict);
   EXPECT_EQ(DurabilityPolicy::parse_mode("grouped"),
             DurabilityPolicy::Mode::kGrouped);
-  EXPECT_THROW(DurabilityPolicy::parse_mode("buffered"), InvalidArgument);
+  EXPECT_THROW((void)DurabilityPolicy::parse_mode("buffered"),
+               InvalidArgument);
 }
 
 TEST(DurabilityPolicyTest, ValidateRejectsOutOfRangeKnobs) {

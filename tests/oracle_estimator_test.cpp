@@ -50,7 +50,9 @@ TEST(ClairvoyantTest, NeverWastesARequest) {
       simulate(instance, truth, oracle, 20, srng);
   // As long as some accepting user remains, the oracle's pick accepts.
   for (const RequestRecord& r : result.trace) {
-    if (r.marginal() > 0.0) EXPECT_TRUE(r.accepted);
+    if (r.marginal() > 0.0) {
+      EXPECT_TRUE(r.accepted);
+    }
   }
   EXPECT_GT(result.num_accepted, 0u);
 }

@@ -173,9 +173,12 @@ TEST(ScorePackTest, IdentityTracksInstanceUidNotJustAddress) {
   pack.build(a);
   EXPECT_TRUE(pack.built_for(a));
 
-  // A copy shares contents and uid, so the pack still describes it only at
-  // the same address; a fresh construction (new uid) must be rejected even
-  // if the allocator reuses the address.
+  // A copy shares contents and uid, so the pack describes it too (copies
+  // share one pack through the instance's artifact cache); a fresh
+  // construction (new uid) must be rejected even if the allocator reuses
+  // the address.
+  const AccuInstance copy_of_a = a;
+  EXPECT_TRUE(pack.built_for(copy_of_a));
   const AccuInstance b = make_instance(kMixes[2]);
   EXPECT_FALSE(pack.built_for(b));
   pack.build(b);

@@ -410,7 +410,7 @@ TEST(OptionsTest, FallbacksWhenAbsent) {
 TEST(OptionsTest, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--k=abc"};
   Options opts(2, argv);
-  EXPECT_THROW(opts.get_int("k", 0), InvalidArgument);
+  EXPECT_THROW((void)opts.get_int("k", 0), InvalidArgument);
 }
 
 TEST(OptionsTest, UnknownOptionDetected) {
@@ -461,19 +461,19 @@ TEST(OptionsTest, ErrorsNameTheFlag) {
   const char* argv[] = {"prog", "--budget=abc", "--rate=xyz", "--flag=maybe"};
   Options opts(4, argv);
   try {
-    opts.get_int("budget", 0);
+    (void)opts.get_int("budget", 0);
     FAIL() << "expected InvalidArgument";
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("--budget"), std::string::npos);
   }
   try {
-    opts.get_double("rate", 0.0);
+    (void)opts.get_double("rate", 0.0);
     FAIL() << "expected InvalidArgument";
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("--rate"), std::string::npos);
   }
   try {
-    opts.get_bool("flag", false);
+    (void)opts.get_bool("flag", false);
     FAIL() << "expected InvalidArgument";
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("--flag"), std::string::npos);
@@ -485,14 +485,14 @@ TEST(OptionsTest, OutOfRangeValuesAreDiagnosed) {
                         "--x=1e999999"};
   Options opts(3, argv);
   try {
-    opts.get_int("k", 0);
+    (void)opts.get_int("k", 0);
     FAIL() << "expected InvalidArgument";
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
         << e.what();
   }
   try {
-    opts.get_double("x", 0.0);
+    (void)opts.get_double("x", 0.0);
     FAIL() << "expected InvalidArgument";
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)

@@ -24,12 +24,13 @@
 #      checkpoint `feedback` header must survive the same abuse)
 #   7. Debug with ACCU_SANITIZE=thread  — ThreadSanitizer over the
 #      concurrency-heavy suites (experiment pool, watchdog, checkpoint
-#      appends, cancellation, serve journal/daemon, intra-cell task pool)
+#      appends, cancellation, serve journal/daemon, intra-cell task pool,
+#      the per-instance artifact cache's racing first requests)
 #   8. forced-ISA dispatch              — the Score suites re-run under
 #      every kernel table the host supports (ACCU_SIMD=scalar/avx2/neon),
-#      in the plain, ASan, and TSan trees (plus the Abm and Golden suites
-#      in plain and ASan): every dispatch tail must be
-#      bit-identical and sanitizer-clean, not just the auto pick
+#      in the plain, ASan, and TSan trees (plus the Abm, Golden and
+#      InstanceArtifact suites in plain and ASan): every dispatch tail
+#      must be bit-identical and sanitizer-clean, not just the auto pick
 #   9. bench trend gate                 — accu_bench_diff compares a fresh
 #      `micro_core --json` run against the committed BENCH_micro_core.json
 #      so a kernel cannot silently lose its speedup
@@ -89,20 +90,21 @@ echo "=== bench trend vs committed BENCH_micro_core.json ==="
 ./build-ci/tools/accu_bench_diff BENCH_micro_core.json \
   build-ci/BENCH_micro_core.json --threshold=2.0
 
-echo "=== forced-ISA dispatch: Score/Abm/Golden suites under every kernel table ==="
+echo "=== forced-ISA dispatch: Score/Abm/Golden/Artifact suites under every kernel table ==="
 # The determinism contract (score_simd.hpp) says every dispatch tail is
 # bit-identical; re-run the score/kernel suites, ABM's incremental-vs-
-# reference pins and the golden trace digests with each supported table
-# forced via ACCU_SIMD, in the plain and ASan trees.
+# reference pins, the golden trace digests and the artifact cache (whose
+# blank seed heaps are scored by the dispatched kernels) with each
+# supported table forced via ACCU_SIMD, in the plain and ASan trees.
 ISAS="scalar"
 if grep -q avx2 /proc/cpuinfo 2> /dev/null; then ISAS="${ISAS} avx2"; fi
 case "$(uname -m)" in aarch64 | arm64) ISAS="${ISAS} neon" ;; esac
 for ISA in ${ISAS}; do
   echo "--- ACCU_SIMD=${ISA} (plain + ASan) ---"
   ACCU_SIMD="${ISA}" ctest --test-dir build-ci --output-on-failure \
-    -j "${JOBS}" --timeout 300 -R 'Score|Abm|Golden'
+    -j "${JOBS}" --timeout 300 -R 'Score|Abm|Golden|Artifact'
   ACCU_SIMD="${ISA}" ctest --test-dir build-ci-san --output-on-failure \
-    -j "${JOBS}" --timeout 300 -R 'Score|Abm|Golden'
+    -j "${JOBS}" --timeout 300 -R 'Score|Abm|Golden|Artifact'
 done
 
 echo "=== shard → kill → resume → merge round-trip ==="
@@ -279,7 +281,7 @@ echo "=== sanitized build (Debug, thread) ==="
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DACCU_SANITIZE=thread
 cmake --build build-ci-tsan -j "${JOBS}"
 ctest --test-dir build-ci-tsan --output-on-failure -j "${JOBS}" --timeout 300 \
-  -R 'Experiment|Checkpoint|Fault|Resilience|Backoff|Cancel|Crc|AtomicFile|DurableAppender|Serve|IoEnv|GroupCommit|CrashPoint|Feedback|InstanceFormat'
+  -R 'Experiment|Checkpoint|Fault|Resilience|Backoff|Cancel|Crc|AtomicFile|DurableAppender|Serve|IoEnv|GroupCommit|CrashPoint|Feedback|InstanceFormat|Artifact'
 # The intra-cell task pool and chunked rescore under TSan, per kernel
 # table: the pool's claim/join protocol and the const-scratch sharing of
 # score_batch_ranged must be race-free under every dispatch tail.
