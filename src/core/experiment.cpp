@@ -287,8 +287,15 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
   // later cell.  The pool drains and the exception is rethrown to the
   // caller, who maps it to a dedicated exit code with a resume hint.
   std::exception_ptr io_failure;
-  auto interrupt_requested = [&config]() -> bool {
-    return config.interrupt_flag != nullptr && *config.interrupt_flag != 0;
+  // Whichever thread first sees the external stop flag (before a sample or
+  // a claim, or through a cell's token) stops the sweep and says so once.
+  auto note_interrupt = [&] {
+    stop.store(true, std::memory_order_release);
+    if (!interrupted.exchange(true, std::memory_order_acq_rel)) {
+      util::log_warn(
+          "experiment: interrupt received — cancelling in-flight cells and "
+          "flushing the checkpoint");
+    }
   };
 
   // One instance per sample network, generated up front so runs can share
@@ -297,9 +304,8 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
   // that throws fails that sample's cells instead of the whole sweep.
   std::vector<std::optional<AccuInstance>> instances(config.samples);
   for (std::uint32_t sample = 0; sample < config.samples; ++sample) {
-    if (interrupt_requested()) {
-      interrupted.store(true, std::memory_order_release);
-      stop.store(true, std::memory_order_release);
+    if (util::stop_requested(config.interrupt_flag)) {
+      note_interrupt();
       break;
     }
     bool needed = false;
@@ -335,16 +341,6 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
   if (workers == 0) workers = 1;
   workers = static_cast<std::uint32_t>(
       std::min<std::size_t>(workers, owned_tasks == 0 ? 1 : owned_tasks));
-
-  // Supervision state: one slot per worker holds the live attempt's cancel
-  // token behind a mutex, so the watchdog can never cancel a stale token
-  // that a later attempt is already reusing.
-  struct CellSlot {
-    std::mutex mu;
-    std::shared_ptr<util::CancelToken> token;  // non-null while running
-    std::chrono::steady_clock::time_point started{};
-  };
-  std::vector<CellSlot> slots(workers);
   std::atomic<std::uint32_t> cells_retried{0};
 
   // Per-worker reusable state: one SimWorkspace plus one long-lived strategy
@@ -368,7 +364,7 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
   }
 
   const bool faulty = config.faults.total_rate() > 0.0;
-  auto run_task = [&](std::size_t task, CellSlot& slot, WorkerState& worker) {
+  auto run_task = [&](std::size_t task, WorkerState& worker) {
     if (worker.strategies.size() != strategies.size()) {
       worker.strategies.clear();
       worker.strategies.reserve(strategies.size());
@@ -392,22 +388,15 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
     const AccuInstance& instance = *instances[sample];
     const std::uint32_t max_attempts = config.max_cell_retries + 1;
     for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
-      auto token = std::make_shared<util::CancelToken>();
+      // The attempt's only supervision: the token self-expires at the cell
+      // deadline and fires on the external stop flag, both seen at the
+      // next round boundary.
+      util::CancelToken token(config.interrupt_flag);
       if (config.cell_deadline_ms > 0) {
-        token->set_deadline_after(
+        token.set_deadline_after(
             std::chrono::milliseconds(config.cell_deadline_ms));
       }
-      {
-        const std::lock_guard<std::mutex> lock(slot.mu);
-        slot.token = token;
-        slot.started = std::chrono::steady_clock::now();
-      }
       util::Timer attempt_timer;
-      auto release_slot = [&slot] {
-        const std::lock_guard<std::mutex> lock(slot.mu);
-        slot.token.reset();
-      };
-      bool cell_done = false;
       try {
         // Retried attempts re-derive the policy/fault/retry streams from a
         // fresh tag; the ground truth below stays on the original stream so
@@ -439,22 +428,27 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
                         worker.ws.reset_view(instance), worker.ws,
                         worker.outcomes[s],
                         {.faults = faults ? &*faults : nullptr,
-                         .cancel = token.get(),
+                         .cancel = &token,
                          .feedback = config.feedback});
           partials[task][s].add(worker.outcomes[s], config.budget);
         }
-        release_slot();
-        cell_done = true;
-      } catch (const util::CancelledError& e) {
-        release_slot();
-        // A cancelled attempt never leaves a half-aggregated trace behind.
+      } catch (const std::exception& e) {
+        // Surface the failure per cell instead of crashing the sweep; a
+        // failed or cancelled attempt never leaves a half-aggregated trace
+        // behind, so surviving cells aggregate cleanly.
         for (std::size_t s = 0; s < strategies.size(); ++s) {
           partials[task][s] = TraceAggregator();
         }
         const double elapsed = attempt_timer.milliseconds();
+        // The token's latched reason tells a cancellation from an error; a
+        // deadline that fires while the sweep is being interrupted counts
+        // as cancelled and is not retried.
+        const util::CancelReason reason = token.reason();
+        const bool interrupt = reason != util::CancelReason::kNone &&
+                               util::stop_requested(config.interrupt_flag);
+        if (interrupt) note_interrupt();
         const bool deadline =
-            e.reason() == util::CancelReason::kDeadline &&
-            !interrupted.load(std::memory_order_acquire);
+            reason == util::CancelReason::kDeadline && !interrupt;
         if (deadline && attempt + 1 < max_attempts) {
           if (attempt == 0) {
             cells_retried.fetch_add(1, std::memory_order_relaxed);
@@ -471,25 +465,11 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
         failure.sample = sample;
         failure.run = run;
         failure.kind = deadline ? CellFailure::Kind::kDeadline
-                                : CellFailure::Kind::kCancelled;
+                       : reason != util::CancelReason::kNone
+                           ? CellFailure::Kind::kCancelled
+                           : CellFailure::Kind::kError;
         failure.attempts = attempt + 1;
         failure.elapsed_ms = elapsed;
-        failure.error = e.what();
-        const std::lock_guard<std::mutex> lock(failure_mutex);
-        result.failures.push_back(std::move(failure));
-        return;
-      } catch (const std::exception& e) {
-        release_slot();
-        // Surface the failure per cell instead of crashing the sweep; wipe
-        // any half-filled partials so surviving cells aggregate cleanly.
-        for (std::size_t s = 0; s < strategies.size(); ++s) {
-          partials[task][s] = TraceAggregator();
-        }
-        CellFailure failure;
-        failure.sample = sample;
-        failure.run = run;
-        failure.attempts = attempt + 1;
-        failure.elapsed_ms = attempt_timer.milliseconds();
         failure.error = e.what();
         const std::lock_guard<std::mutex> lock(failure_mutex);
         result.failures.push_back(std::move(failure));
@@ -499,26 +479,23 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
       // throws (DiskFullError, a poisoned sync) is a durability loss, not
       // a cell failure — it propagates to the pool driver, which stops the
       // sweep and rethrows after the drain.
-      if (cell_done) {
-        if (checkpoint_out.is_open()) {
-          checkpoint::serialize_cell(task, worker.outcomes, worker.block);
-          const std::lock_guard<std::mutex> lock(checkpoint_mutex);
-          checkpoint_out.append_record(worker.block);
-        }
-        report_progress(1, attempt_timer.milliseconds(),
-                        /*restored_cells=*/false);
-        return;
+      if (checkpoint_out.is_open()) {
+        checkpoint::serialize_cell(task, worker.outcomes, worker.block);
+        const std::lock_guard<std::mutex> lock(checkpoint_mutex);
+        checkpoint_out.append_record(worker.block);
       }
+      report_progress(1, attempt_timer.milliseconds(),
+                      /*restored_cells=*/false);
+      return;
     }
   };
 
   // Pool driver: runs one cell, converting a checkpoint-I/O exception into
   // a sweep-wide stop (worker threads must not leak exceptions).
-  auto drive_task = [&](std::size_t task, CellSlot& slot,
-                        WorkerState& worker) {
+  auto drive_task = [&](std::size_t task, WorkerState& worker) {
     if (done[task]) return;
     try {
-      run_task(task, slot, worker);
+      run_task(task, worker);
     } catch (...) {
       const std::lock_guard<std::mutex> lock(failure_mutex);
       if (!io_failure) io_failure = std::current_exception();
@@ -532,71 +509,22 @@ ExperimentResult run_experiment(const InstanceFactory& make_instance,
     }
   };
 
-  // Watchdog: polls the external interrupt flag and the per-slot clocks.
-  // An interrupted sweep cancels every in-flight cell and claims no new
-  // ones; a cell past its deadline is cancelled (the token's own deadline
-  // check backs this up, so supervision works even if the watchdog lags).
-  std::atomic<bool> watchdog_exit{false};
-  std::thread watchdog;
-  const bool supervised =
-      config.cell_deadline_ms > 0 || config.interrupt_flag != nullptr;
-  if (supervised) {
-    watchdog = std::thread([&] {
-      const auto deadline =
-          std::chrono::milliseconds(config.cell_deadline_ms);
-      while (!watchdog_exit.load(std::memory_order_acquire)) {
-        if (interrupt_requested()) {
-          if (!interrupted.exchange(true, std::memory_order_acq_rel)) {
-            stop.store(true, std::memory_order_release);
-            util::log_warn(
-                "experiment: interrupt received — cancelling in-flight "
-                "cells and flushing the checkpoint");
-          }
-          for (CellSlot& slot : slots) {
-            const std::lock_guard<std::mutex> lock(slot.mu);
-            if (slot.token) {
-              slot.token->cancel(util::CancelReason::kInterrupt);
-            }
-          }
-        }
-        if (config.cell_deadline_ms > 0) {
-          const auto now = std::chrono::steady_clock::now();
-          for (CellSlot& slot : slots) {
-            const std::lock_guard<std::mutex> lock(slot.mu);
-            if (slot.token && now - slot.started >= deadline) {
-              slot.token->cancel(util::CancelReason::kDeadline);
-            }
-          }
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-    });
-  }
-
-  if (workers <= 1) {
-    for (std::size_t task = 0;
-         task < tasks && !stop.load(std::memory_order_acquire); ++task) {
-      drive_task(task, slots[0], worker_states[0]);
+  // One claim loop: the calling thread is worker 0, so threads = T starts
+  // T-1 threads.  A worker checks the stop flag itself before each claim.
+  std::atomic<std::size_t> next{0};
+  auto work = [&](std::uint32_t w) {
+    for (std::size_t task = next.fetch_add(1); task < tasks;
+         task = next.fetch_add(1)) {
+      if (util::stop_requested(config.interrupt_flag)) note_interrupt();
+      if (stop.load(std::memory_order_acquire)) break;
+      drive_task(task, worker_states[w]);
     }
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        for (std::size_t task = next.fetch_add(1); task < tasks;
-             task = next.fetch_add(1)) {
-          if (stop.load(std::memory_order_acquire)) break;
-          drive_task(task, slots[w], worker_states[w]);
-        }
-      });
-    }
-    for (std::thread& worker : pool) worker.join();
-  }
-  if (watchdog.joinable()) {
-    watchdog_exit.store(true, std::memory_order_release);
-    watchdog.join();
-  }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  for (std::uint32_t w = 1; w < workers; ++w) pool.emplace_back(work, w);
+  work(0);
+  for (std::thread& worker : pool) worker.join();
   // Forced flush on every exit path — normal completion, interrupt drain,
   // deadline, failure — so grouped durability never leaves an acknowledged
   // stop with unsynced cells.  A flush failure joins the fail-stop path

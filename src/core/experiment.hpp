@@ -13,16 +13,18 @@
 //   * robustness totals under fault injection: faulted requests,
 //     retries, rounds lost to suspension, abandoned targets
 //
-// The harness is crash-safe and supervised: worker exceptions are captured
-// per cell and reported in ExperimentResult::failures (surviving cells
-// still aggregate), a watchdog thread cancels cells that exceed their
-// wall-clock deadline (optionally re-running them with a fresh derived
-// seed stream), an external interrupt flag (SIGINT/SIGTERM from the CLI)
-// stops the sweep at cell granularity with the checkpoint flushed, and the
-// crash-consistent checkpoint file (v2: per-cell CRC32 trailers, atomic
-// header, per-cell fsync) lets a killed sweep resume at (sample, run)
-// granularity with bit-identical aggregates — even after a crash mid-append
-// tore the final block.
+// The harness is crash-safe and supervised.  Worker exceptions are
+// captured per cell and reported in ExperimentResult::failures (surviving
+// cells still aggregate).  Each cell attempt runs under one CancelToken
+// (util/cancel.hpp), the only cancellation mechanism: it self-expires at
+// the cell's wall-clock deadline (the cell may be re-run with a fresh
+// derived seed stream) and watches the external interrupt flag
+// (SIGINT/SIGTERM from the CLI), which stops the sweep at cell granularity
+// with the checkpoint flushed.  The simulator polls it at every round
+// boundary; no supervisor thread exists.  The crash-consistent checkpoint
+// file (v2: per-cell CRC32 trailers, atomic header, per-cell fsync) lets a
+// killed sweep resume at (sample, run) granularity with bit-identical
+// aggregates — even after a crash mid-append tore the final block.
 
 #pragma once
 
@@ -176,9 +178,10 @@ struct ExperimentConfig {
   std::uint64_t seed = 1;      ///< master seed; everything derives from it
   /// Worker threads for the (sample, run) grid.  1 = sequential;
   /// 0 = one per hardware thread.  Every cell's randomness is derived
-  /// statelessly from (seed, sample, run, strategy) and shards merge in a
-  /// fixed order, so simulation outcomes are identical for any thread
-  /// count (aggregate moments agree up to floating-point re-association).
+  /// statelessly from (seed, sample, run, strategy) and per-cell partials
+  /// fold in fixed task order, so aggregates are bit-identical for any
+  /// thread count.  threads = T starts T-1 threads: the calling thread is
+  /// worker 0.
   std::uint32_t threads = 1;
   /// Intra-cell concurrency (core/task_pool.hpp): each worker's strategies
   /// may fan independent work — lookahead beam candidates, batched-rescore
@@ -229,9 +232,10 @@ struct ExperimentConfig {
   /// fingerprint — like `threads`, a resume may switch modes freely.
   util::DurabilityPolicy durability{};
   /// Wall-clock budget per (sample, run) cell in milliseconds; 0 = none.
-  /// A cell that exceeds it is cancelled cooperatively (between simulation
-  /// rounds) by the watchdog and recorded in ExperimentResult::failures
-  /// with its elapsed time; no partial trace reaches the aggregates.
+  /// Each attempt's CancelToken self-expires at this deadline, so a cell
+  /// that exceeds it is cancelled cooperatively at its next round boundary
+  /// and recorded in ExperimentResult::failures with its elapsed time; no
+  /// partial trace reaches the aggregates.
   std::uint32_t cell_deadline_ms = 0;
   /// How many times a deadline-cancelled cell is re-run before it is given
   /// up as failed.  Each retry derives a fresh policy/fault/retry seed
@@ -241,9 +245,11 @@ struct ExperimentConfig {
   std::uint32_t max_cell_retries = 0;
   /// Optional external stop flag, designed to be set from a signal handler
   /// (`volatile std::sig_atomic_t` is the only type a handler may write).
-  /// The watchdog polls it; once non-zero, in-flight cells are cancelled,
-  /// no new cells start, the checkpoint is already flushed per cell, and
-  /// run_experiment returns with ExperimentResult::interrupted set.
+  /// Workers read it before each claim and every cell's CancelToken reads
+  /// it at each round boundary; once non-zero, in-flight cells are
+  /// cancelled (CellFailure::Kind::kCancelled), no new cells start, the
+  /// checkpoint is already flushed per cell, and run_experiment returns
+  /// with ExperimentResult::interrupted set.
   const volatile std::sig_atomic_t* interrupt_flag = nullptr;
   /// Sharded execution: this invocation runs only the (sample, run) cells
   /// whose flat task index `sample * runs + run` satisfies

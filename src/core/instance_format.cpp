@@ -409,21 +409,9 @@ bool is_binary_instance_file(const std::string& path) {
   return static_cast<unsigned char>(first) == fmt::kMagic[0];
 }
 
-AccuInstance InstanceSource::load() const {
-  switch (format) {
-    case Format::kText:
-      return read_instance_file(path);
-    case Format::kBinary:
-      return read_instance_binary_file(path);
-    case Format::kAuto:
-      break;
-  }
+AccuInstance load_instance_auto(const std::string& path) {
   return is_binary_instance_file(path) ? read_instance_binary_file(path)
                                        : read_instance_file(path);
-}
-
-AccuInstance load_instance_auto(const std::string& path) {
-  return InstanceSource{path, InstanceSource::Format::kAuto}.load();
 }
 
 }  // namespace accu

@@ -197,19 +197,8 @@ void write_instance_binary_file(const AccuInstance& instance,
 /// instances start with '#' or 'n').  Throws IoError when unreadable.
 [[nodiscard]] bool is_binary_instance_file(const std::string& path);
 
-/// Where an instance comes from — the one seam run_experiment, `accu
-/// serve`, and the CLI share, so every consumer loads either format.
-struct InstanceSource {
-  enum class Format : std::uint8_t { kAuto = 0, kText = 1, kBinary = 2 };
-
-  std::string path;
-  Format format = Format::kAuto;
-
-  /// Loads the instance; kAuto sniffs the magic byte.
-  [[nodiscard]] AccuInstance load() const;
-};
-
-/// InstanceSource{path}.load() — auto-detecting convenience loader.
+/// Loads an instance in either format, sniffing the magic byte — the one
+/// loader `accu serve`, the CLI and the benchmarks share.
 [[nodiscard]] AccuInstance load_instance_auto(const std::string& path);
 
 }  // namespace accu

@@ -224,18 +224,6 @@ class AttackerView {
   /// attacker must plan with.
   [[nodiscard]] double believed_mutual_friends(NodeId v) const;
 
-  /// Believed FOF test: positive believed mutual mass and not a friend.
-  [[nodiscard]] bool believed_is_fof(NodeId v) const {
-    return believed_mutual_friends(v) > 0.0 && !is_friend(v);
-  }
-
-  /// The attacker's best guess whether cautious v would accept now.
-  [[nodiscard]] bool believed_cautious_would_accept(NodeId v) const {
-    ACCU_ASSERT(instance_->is_cautious(v));
-    return believed_mutual_friends(v) >=
-           static_cast<double>(instance_->threshold(v));
-  }
-
   // --- flat spans (the score engine's batched kernels read these) ---------
 
   /// Per-node request states, indexed by NodeId.

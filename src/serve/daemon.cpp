@@ -46,9 +46,9 @@ namespace exit_code = util::exit_code;
 
 namespace {
 
-// Written by the forked worker's SIGTERM/SIGINT handler, polled by the
-// experiment watchdog: the worker stops at cell granularity with its
-// checkpoint flushed and exits kInterrupted.
+// Written by the forked worker's SIGTERM/SIGINT handler and read by the
+// sweep's workers and cell cancel tokens: the worker stops at cell
+// granularity with its checkpoint flushed and exits kInterrupted.
 volatile std::sig_atomic_t g_worker_stop = 0;
 
 void worker_signal_handler(int) { g_worker_stop = 1; }

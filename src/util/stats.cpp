@@ -114,11 +114,4 @@ double Histogram::fraction(std::size_t bin) const {
   return static_cast<double>(counts_[bin]) / static_cast<double>(total_);
 }
 
-double mean_of(const std::vector<double>& xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
-}
-
 }  // namespace accu::util

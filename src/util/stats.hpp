@@ -113,7 +113,4 @@ class Histogram {
   std::size_t nan_count_ = 0;
 };
 
-/// Exact mean of a vector (0 for empty input) — convenience for tests.
-[[nodiscard]] double mean_of(const std::vector<double>& xs) noexcept;
-
 }  // namespace accu::util

@@ -158,11 +158,8 @@ TEST(InstanceFormatTest, AutoDetectionSniffsTheMagic) {
   EXPECT_EQ(text_of(load_instance_auto(text)), text_of(original));
   EXPECT_EQ(text_of(load_instance_auto(bin)), text_of(original));
   // Forcing the wrong format fails cleanly instead of misparsing.
-  EXPECT_THROW(
-      (InstanceSource{bin, InstanceSource::Format::kText}.load()), IoError);
-  EXPECT_THROW(
-      (InstanceSource{text, InstanceSource::Format::kBinary}.load()),
-      IoError);
+  EXPECT_THROW((void)read_instance_file(bin), IoError);
+  EXPECT_THROW((void)read_instance_binary_file(text), IoError);
   EXPECT_THROW((void)is_binary_instance_file(temp_path("fmt_none")),
                IoError);
 }

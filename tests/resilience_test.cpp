@@ -1,5 +1,5 @@
 // Integration tests for the supervised experiment runner: per-cell
-// wall-clock deadlines (watchdog cancellation + deterministic retries),
+// wall-clock deadlines (cancel-token expiry + deterministic retries),
 // interrupt-flag stops, and the crash headline — a sweep SIGKILLed mid-run
 // resumes from its checkpoint to bit-identical aggregates.
 
@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <fstream>
@@ -23,11 +24,20 @@
 #include "datasets/datasets.hpp"
 #include "test_paths.hpp"
 
-// Written by the forked child's SIGTERM handler, polled by the watchdog —
-// the same arrangement the CLI uses.
+// Written by the forked child's SIGTERM handler, read by the sweep's workers
+// and cell cancel tokens — the same arrangement the CLI uses.
 volatile std::sig_atomic_t g_resilience_stop = 0;
 
 extern "C" void resilience_stop_handler(int) { g_resilience_stop = 1; }
+
+// Raised from inside a strategy's select() so an interrupt lands mid-cell at
+// a known request.  Worker threads read it concurrently, so it is written
+// through std::atomic_ref rather than as a plain volatile.
+std::sig_atomic_t g_select_stop = 0;
+// Counts select() calls down across every StopScan instance; the call that
+// takes it from 1 to 0 raises g_select_stop.  <= 0 = disarmed.
+std::atomic<int> g_selects_until_stop{0};
+std::atomic<int> g_stop_scan_selects{0};
 
 namespace accu {
 namespace {
@@ -58,6 +68,33 @@ class SlowScanStrategy : public Strategy {
 
  private:
   std::chrono::milliseconds per_select_;
+  NodeId num_nodes_ = 0;
+  NodeId cursor_ = 0;
+};
+
+/// Scans node ids in order (no randomness, no sleeping) and raises
+/// g_select_stop on the select() that g_selects_until_stop counts down to.
+class StopScanStrategy : public Strategy {
+ public:
+  void reset(const AccuInstance& instance, util::Rng&) override {
+    num_nodes_ = instance.num_nodes();
+    cursor_ = 0;
+  }
+
+  NodeId select(const AttackerView& view, util::Rng&) override {
+    g_stop_scan_selects.fetch_add(1);
+    if (g_selects_until_stop.load() > 0 &&
+        g_selects_until_stop.fetch_sub(1) == 1) {
+      std::atomic_ref<std::sig_atomic_t>(g_select_stop)
+          .store(1, std::memory_order_relaxed);
+    }
+    while (cursor_ < num_nodes_ && view.is_requested(cursor_)) ++cursor_;
+    return cursor_ < num_nodes_ ? cursor_++ : kInvalidNode;
+  }
+
+  [[nodiscard]] std::string name() const override { return "StopScan"; }
+
+ private:
   NodeId num_nodes_ = 0;
   NodeId cursor_ = 0;
 };
@@ -229,6 +266,72 @@ TEST(ResilienceTest, InterruptedCheckpointedSweepResumesToCompletion) {
       resume_config);
   EXPECT_FALSE(resumed.interrupted);
   expect_identical_results(uninterrupted, resumed);
+}
+
+std::vector<StrategyFactory> stop_scan_roster() {
+  return {{"StopScan", [] { return std::make_unique<StopScanStrategy>(); }}};
+}
+
+/// Runs a four-cell sweep whose StopScan raises the interrupt flag on the
+/// second select() of cell 1 (counted across the whole sweep), then resumes
+/// the checkpoint with the flag cleared.
+struct MidCellInterrupt {
+  ExperimentResult stopped;
+  ExperimentResult resumed;
+  ExperimentResult uninterrupted;
+  int selects_before_stop = 0;
+};
+
+MidCellInterrupt interrupt_in_select(std::uint32_t threads,
+                                     const std::string& checkpoint) {
+  ExperimentConfig config = slow_config();
+  config.runs = 4;
+  config.threads = threads;
+  MidCellInterrupt out;
+  g_selects_until_stop = 0;
+  g_select_stop = 0;
+  out.uninterrupted = run_experiment(tiny_factory(), stop_scan_roster(),
+                                     config);
+
+  ExperimentConfig checkpointed = config;
+  checkpointed.checkpoint_path = checkpoint;
+  checkpointed.interrupt_flag = &g_select_stop;
+  g_stop_scan_selects = 0;
+  g_selects_until_stop = static_cast<int>(config.budget) + 2;
+  out.stopped = run_experiment(tiny_factory(), stop_scan_roster(),
+                               checkpointed);
+  out.selects_before_stop = g_stop_scan_selects.load();
+
+  g_selects_until_stop = 0;
+  g_select_stop = 0;
+  out.resumed = run_experiment(tiny_factory(), stop_scan_roster(),
+                               checkpointed);
+  return out;
+}
+
+TEST(ResilienceTest, FlagRaisedMidCellCancelsThatCellAndResumes) {
+  const MidCellInterrupt r =
+      interrupt_in_select(1, temp_path("accu_resil_midcell.txt"));
+  EXPECT_TRUE(r.stopped.interrupted);
+  ASSERT_EQ(r.stopped.failures.size(), 1u);
+  EXPECT_EQ(r.stopped.failures[0].kind, CellFailure::Kind::kCancelled);
+  EXPECT_EQ(r.stopped.failures[0].sample, 0u);
+  EXPECT_EQ(r.stopped.failures[0].run, 1u);
+  // Cell 0 finished; cell 1 stopped at the round boundary right after the
+  // select that raised the flag; cells 2 and 3 never ran.
+  EXPECT_EQ(r.stopped.aggregates[0].total_benefit().count(), 1u);
+  EXPECT_EQ(r.selects_before_stop, static_cast<int>(slow_config().budget) + 2);
+  EXPECT_FALSE(r.resumed.interrupted);
+  EXPECT_TRUE(r.resumed.failures.empty());
+  expect_identical_results(r.uninterrupted, r.resumed);
+}
+
+TEST(ResilienceTest, FlagRaisedMidCellWithTwoWorkersResumes) {
+  const MidCellInterrupt r =
+      interrupt_in_select(2, temp_path("accu_resil_midcell2.txt"));
+  EXPECT_TRUE(r.stopped.interrupted);
+  EXPECT_FALSE(r.resumed.interrupted);
+  expect_identical_results(r.uninterrupted, r.resumed);
 }
 
 // The headline crash test: fork a sweep, SIGKILL it mid-flight (no chance

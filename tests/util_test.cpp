@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -790,6 +791,36 @@ TEST(CancelTest, DeadlineSelfExpiresAndClearRearms) {
   // A generous deadline does not fire.
   token.set_deadline_after(std::chrono::hours(1));
   EXPECT_FALSE(token.cancelled());
+}
+
+TEST(CancelTest, WatchedStopFlagLatchesInterrupt) {
+  volatile std::sig_atomic_t flag = 0;
+  CancelToken token(&flag);
+  EXPECT_FALSE(token.cancelled());
+  EXPECT_NO_THROW(token.check());
+  flag = 1;
+  try {
+    token.check();
+    FAIL() << "expected CancelledError";
+  } catch (const CancelledError& e) {
+    EXPECT_EQ(e.reason(), CancelReason::kInterrupt);
+  }
+  EXPECT_EQ(token.reason(), CancelReason::kInterrupt);
+  token.clear();  // drops the reason, keeps watching the flag
+  EXPECT_TRUE(token.cancelled());
+
+  // An expired deadline observed before the flag keeps kDeadline.
+  flag = 0;
+  CancelToken expired(&flag);
+  expired.set_deadline_after(std::chrono::milliseconds(0));
+  EXPECT_TRUE(expired.cancelled());
+  flag = 1;
+  try {
+    expired.check();
+    FAIL() << "expected CancelledError";
+  } catch (const CancelledError& e) {
+    EXPECT_EQ(e.reason(), CancelReason::kDeadline);
+  }
 }
 
 }  // namespace

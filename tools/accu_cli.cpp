@@ -53,9 +53,10 @@
 #include "util/options.hpp"
 #include "util/table.hpp"
 
-// Set by the SIGINT/SIGTERM handler and polled by the experiment watchdog:
-// a first Ctrl-C stops the sweep at cell granularity (checkpoint flushed);
-// sig_atomic_t is the only type a handler may portably write.
+// Set by the SIGINT/SIGTERM handler and read by the sweep's workers and
+// cell cancel tokens: a first Ctrl-C stops the sweep at cell granularity
+// (checkpoint flushed); sig_atomic_t is the only type a handler may
+// portably write.
 volatile std::sig_atomic_t g_interrupted = 0;
 
 extern "C" void accu_cli_signal_handler(int) { g_interrupted = 1; }
@@ -188,8 +189,7 @@ int cmd_pack(const util::Options& opts) {
   const std::string in = opts.get("in", "");
   if (in.empty()) throw InvalidArgument("missing --in=FILE (text instance)");
   const std::string out = opts.get("out", in + ".accui");
-  const AccuInstance instance =
-      InstanceSource{in, InstanceSource::Format::kText}.load();
+  const AccuInstance instance = read_instance_file(in);
   write_instance_binary_file(instance, out);
   std::printf("packed %s -> %s: %u users, %u edges\n", in.c_str(),
               out.c_str(), instance.num_nodes(), instance.graph().num_edges());
@@ -200,8 +200,7 @@ int cmd_unpack(const util::Options& opts) {
   const std::string in = opts.get("in", "");
   if (in.empty()) throw InvalidArgument("missing --in=FILE (binary instance)");
   const std::string out = opts.get("out", in + ".accu");
-  const AccuInstance instance =
-      InstanceSource{in, InstanceSource::Format::kBinary}.load();
+  const AccuInstance instance = read_instance_binary_file(in);
   write_instance_file(instance, out);
   std::printf("unpacked %s -> %s: %u users, %u edges\n", in.c_str(),
               out.c_str(), instance.num_nodes(), instance.graph().num_edges());

@@ -23,7 +23,7 @@
 #      batched-feedback pass (the pending-revelation queue and the
 #      checkpoint `feedback` header must survive the same abuse)
 #   7. Debug with ACCU_SANITIZE=thread  — ThreadSanitizer over the
-#      concurrency-heavy suites (experiment pool, watchdog, checkpoint
+#      concurrency-heavy suites (experiment pool, cancel tokens, checkpoint
 #      appends, cancellation, serve journal/daemon, intra-cell task pool,
 #      the per-instance artifact cache's racing first requests)
 #   8. forced-ISA dispatch              — the Score suites re-run under
@@ -44,7 +44,8 @@
 #      timing decorator still forwards adopt_score_pack to the strategy
 #
 # Every ctest run carries --timeout 300 so a hung test (deadlocked pool,
-# stuck watchdog) fails the stage instead of wedging CI.
+# cell that never sees its cancel token) fails the stage instead of
+# wedging CI.
 #
 # Usage: tools/ci.sh [jobs]   (default: nproc)
 
