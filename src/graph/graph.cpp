@@ -1,8 +1,8 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
-#include <unordered_set>
 
 namespace accu::graph {
 
@@ -117,12 +117,7 @@ Graph Graph::from_csr(NodeId num_nodes, std::vector<std::size_t> offsets,
   return g;
 }
 
-struct GraphBuilder::EdgeSet {
-  std::unordered_set<std::uint64_t> keys;
-};
-
-GraphBuilder::GraphBuilder(NodeId num_nodes)
-    : num_nodes_(num_nodes), edge_set_(std::make_shared<EdgeSet>()) {
+GraphBuilder::GraphBuilder(NodeId num_nodes) : num_nodes_(num_nodes) {
   if (num_nodes == kInvalidNode) {
     throw InvalidArgument("GraphBuilder: node count out of range");
   }
@@ -132,6 +127,23 @@ std::uint64_t GraphBuilder::key(NodeId u, NodeId v) noexcept {
   const NodeId lo = std::min(u, v);
   const NodeId hi = std::max(u, v);
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
+}
+
+std::size_t GraphBuilder::probe(std::uint64_t k) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  auto i = static_cast<std::size_t>((k * 0x9E3779B97F4A7C15ULL) >> shift_);
+  while (slots_[i] != k && slots_[i] != 0) i = (i + 1) & mask;
+  return i;
+}
+
+void GraphBuilder::grow() {
+  const std::size_t size = slots_.empty() ? 16 : 2 * slots_.size();
+  slots_.assign(size, 0);
+  shift_ = 64 - std::countr_zero(size);
+  for (std::size_t e = 0; e < us_.size(); ++e) {
+    const std::uint64_t k = key(us_[e], vs_[e]);
+    slots_[probe(k)] = k;
+  }
 }
 
 void GraphBuilder::add_edge(NodeId u, NodeId v, double p) {
@@ -152,7 +164,11 @@ bool GraphBuilder::try_add_edge(NodeId u, NodeId v, double p) {
   if (!(p >= 0.0 && p <= 1.0)) {
     throw InvalidArgument("GraphBuilder: edge probability outside [0,1]");
   }
-  if (!edge_set_->keys.insert(key(u, v)).second) return false;
+  if (2 * (us_.size() + 1) > slots_.size()) grow();
+  const std::uint64_t k = key(u, v);
+  const std::size_t slot = probe(k);
+  if (slots_[slot] == k) return false;
+  slots_[slot] = k;
   us_.push_back(std::min(u, v));
   vs_.push_back(std::max(u, v));
   ps_.push_back(p);
@@ -160,7 +176,10 @@ bool GraphBuilder::try_add_edge(NodeId u, NodeId v, double p) {
 }
 
 bool GraphBuilder::has_edge(NodeId u, NodeId v) const {
-  return edge_set_->keys.contains(key(u, v));
+  // (u,u) would pack to the empty-slot marker 0 when u == 0.
+  if (u == v || slots_.empty()) return false;
+  const std::uint64_t k = key(u, v);
+  return slots_[probe(k)] == k;
 }
 
 EdgeEndpoints GraphBuilder::edge_at(std::size_t i) const {
@@ -190,21 +209,24 @@ Graph GraphBuilder::build() const {
   for (std::size_t v = 0; v < num_nodes_; ++v) {
     g.offsets_[v + 1] += g.offsets_[v];
   }
-  g.adjacency_.resize(2 * m);
+  // Two scatter passes instead of a per-row sort.  First bucket every edge
+  // under both endpoints, in edge order; then walk the buckets by ascending
+  // node w and append {w, e} to the row of each of w's neighbors.  Rows
+  // fill in ascending neighbor order, so each comes out strictly sorted.
+  std::vector<Neighbor> buckets(2 * m);
   std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
   for (std::size_t e = 0; e < m; ++e) {
     const auto eid = static_cast<EdgeId>(e);
-    g.adjacency_[cursor[us_[e]]++] = {vs_[e], eid};
-    g.adjacency_[cursor[vs_[e]]++] = {us_[e], eid};
+    buckets[cursor[us_[e]]++] = {vs_[e], eid};
+    buckets[cursor[vs_[e]]++] = {us_[e], eid};
   }
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    std::sort(g.adjacency_.begin() +
-                  static_cast<std::ptrdiff_t>(g.offsets_[v]),
-              g.adjacency_.begin() +
-                  static_cast<std::ptrdiff_t>(g.offsets_[v + 1]),
-              [](const Neighbor& a, const Neighbor& b) {
-                return a.node < b.node;
-              });
+  g.adjacency_.resize(2 * m);
+  std::copy(g.offsets_.begin(), g.offsets_.end() - 1, cursor.begin());
+  for (NodeId w = 0; w < num_nodes_; ++w) {
+    for (std::size_t s = g.offsets_[w]; s < g.offsets_[w + 1]; ++s) {
+      const auto [u, e] = buckets[s];
+      g.adjacency_[cursor[u]++] = {w, e};
+    }
   }
   return g;
 }

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -152,6 +151,9 @@ class Graph {
 /// to 1 (a certain edge) and can be reassigned in bulk before `build`, which
 /// is how the dataset factory applies the paper's uniform-[0,1) priors
 /// without regenerating topology.
+///
+/// A builder is a plain value: copies own their edge lists and duplicate
+/// sets, so edges added to one copy never affect another.
 class GraphBuilder {
  public:
   explicit GraphBuilder(NodeId num_nodes);
@@ -181,20 +183,26 @@ class GraphBuilder {
     for (auto& p : ps_) p = rng.uniform(lo, hi);
   }
 
-  /// Finalizes into CSR form.  The builder may be reused afterwards (its
-  /// edge list is left intact).
+  /// Finalizes into CSR form in O(V + E) with no sorting; edge ids are
+  /// insertion indices.  The builder may be reused afterwards (its edge
+  /// list is left intact).
   [[nodiscard]] Graph build() const;
 
  private:
   [[nodiscard]] static std::uint64_t key(NodeId u, NodeId v) noexcept;
+  /// Slot holding `k`, or the empty slot where probing for it stopped.
+  [[nodiscard]] std::size_t probe(std::uint64_t k) const noexcept;
+  /// Doubles the duplicate set and re-inserts every edge.
+  void grow();
 
   NodeId num_nodes_;
   std::vector<NodeId> us_, vs_;
   std::vector<double> ps_;
-  // Packed (lo,hi) keys of existing edges for O(1) duplicate detection.
-  // (definition in graph.cpp keeps <unordered_set> out of this header)
-  struct EdgeSet;
-  std::shared_ptr<EdgeSet> edge_set_;
+  // Duplicate set: packed (lo,hi) keys in a flat open-addressing table —
+  // power-of-two size, Fibonacci hash, linear probing, at most half full.
+  // lo < hi, so no edge packs to 0 and 0 marks an empty slot.
+  std::vector<std::uint64_t> slots_;
+  int shift_ = 64;  // 64 - log2(slots_.size())
 };
 
 }  // namespace accu::graph

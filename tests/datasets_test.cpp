@@ -5,11 +5,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "datasets/datasets.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/io.hpp"
 #include "test_paths.hpp"
+#include "util/crc32.hpp"
 
 namespace accu::datasets {
 namespace {
@@ -179,6 +182,82 @@ TEST(MakeDatasetTest, AllFourDatasetsValidate) {
     const AccuInstance instance = make_dataset(spec.name, config, rng);
     EXPECT_GT(instance.num_cautious(), 0u) << spec.name;
     EXPECT_GT(instance.graph().num_edges(), 0u) << spec.name;
+  }
+}
+
+template <typename T>
+std::uint32_t crc_of(std::span<const T> values, std::uint32_t crc) {
+  return util::crc32(values.data(), values.size_bytes(), crc);
+}
+
+TEST(DatasetsTest, GeneratedInstancesArePinned) {
+  // Byte-level pins of every generator behind the dataset factory: the CRC32
+  // of the four raw CSR arrays (row order, neighbor order and edge ids all
+  // count), the CRC32 of the §IV-A protocol draws on top of the topology,
+  // and the RNG's next output (so the number of draws is pinned too).  Any
+  // change to GraphBuilder's dedup or CSR construction that is not
+  // bit-identical fails here.
+  struct Pin {
+    const char* name;
+    double scale;
+    std::uint64_t seed;
+    NodeId nodes;
+    std::uint32_t edges;
+    std::uint32_t graph_crc;
+    std::uint32_t instance_crc;
+    std::uint64_t rng_next;
+  };
+  const Pin pins[] = {
+      {"facebook", 1.0, 1, 4039, 88374, 0x79521677, 0xF1C1B920,
+       11100650556132279582ULL},
+      {"facebook", 1.0, 2, 4039, 88374, 0x5131A58C, 0x42160D17,
+       1380956759573912909ULL},
+      {"facebook", 1.0, 3, 4039, 88374, 0xAE03ED90, 0x5D58D9E1,
+       11584076388298471069ULL},
+      {"slashdot", 0.02, 1, 1547, 15048, 0x97F5FA30, 0x19039155,
+       3044952319673300916ULL},
+      {"slashdot", 0.02, 2, 1547, 15289, 0x7BEC9033, 0xC5D8495E,
+       1051439487780196885ULL},
+      {"twitter", 0.02, 1, 1626, 35288, 0x86762BC6, 0x24DCE2CF,
+       10970567215461588399ULL},
+      {"twitter", 0.02, 2, 1626, 35288, 0xF1354E2D, 0x7D254A36,
+       11687501575788968411ULL},
+      {"dblp", 0.01, 1, 3171, 11570, 0x5F6C22C8, 0x0867BC8A,
+       4292265197393187138ULL},
+      {"dblp", 0.01, 2, 3171, 11443, 0x3E574CD7, 0x77CEE9D4,
+       6770979810277752250ULL},
+  };
+  for (const Pin& pin : pins) {
+    DatasetConfig config;
+    config.scale = pin.scale;
+    util::Rng rng(pin.seed);
+    const AccuInstance instance = make_dataset(pin.name, config, rng);
+    const Graph& g = instance.graph();
+    std::uint32_t graph_crc = crc_of(g.raw_offsets(), 0);
+    graph_crc = crc_of(g.raw_adjacency(), graph_crc);
+    graph_crc = crc_of(g.raw_probs(), graph_crc);
+    graph_crc = crc_of(g.raw_endpoints(), graph_crc);
+    std::vector<double> accept(instance.num_nodes());
+    for (NodeId u = 0; u < instance.num_nodes(); ++u) {
+      accept[u] = instance.accept_prob(u);
+    }
+    std::vector<std::uint32_t> thresholds;
+    for (const NodeId v : instance.cautious_users()) {
+      thresholds.push_back(instance.threshold(v));
+    }
+    std::uint32_t instance_crc =
+        crc_of(std::span<const double>(accept), 0);
+    instance_crc = crc_of(std::span<const std::uint32_t>(thresholds),
+                          instance_crc);
+    instance_crc = crc_of(std::span<const NodeId>(instance.cautious_users()),
+                          instance_crc);
+    const std::uint64_t rng_next = rng();
+    SCOPED_TRACE(std::string(pin.name) + " seed " + std::to_string(pin.seed));
+    EXPECT_EQ(g.num_nodes(), pin.nodes);
+    EXPECT_EQ(g.num_edges(), pin.edges);
+    EXPECT_EQ(graph_crc, pin.graph_crc);
+    EXPECT_EQ(instance_crc, pin.instance_crc);
+    EXPECT_EQ(rng_next, pin.rng_next);
   }
 }
 

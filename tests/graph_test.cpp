@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 #include "test_paths.hpp"
+#include "util/rng.hpp"
 
 namespace accu::graph {
 namespace {
@@ -65,6 +67,110 @@ TEST(GraphBuilderTest, SetProbAndEdgeAt) {
   const Graph g = b.build();
   EXPECT_DOUBLE_EQ(g.edge_prob(0), 0.125);
   EXPECT_THROW(b.set_prob(0, 2.0), InvalidArgument);
+}
+
+TEST(GraphBuilderTest, CopiesAreIndependent) {
+  // Each builder owns its duplicate set: an edge added to a copy is neither
+  // visible to nor rejected by the original, and vice versa.
+  GraphBuilder a(4);
+  a.add_edge(0, 1);
+  GraphBuilder b = a;
+  b.add_edge(2, 3);
+  EXPECT_TRUE(b.has_edge(0, 1));
+  EXPECT_FALSE(a.has_edge(2, 3));
+  EXPECT_TRUE(a.try_add_edge(2, 3));
+  EXPECT_EQ(a.num_edges(), 2u);
+  GraphBuilder c(4);
+  c = a;
+  c.add_edge(0, 2);
+  EXPECT_FALSE(a.has_edge(0, 2));
+  EXPECT_TRUE(a.try_add_edge(0, 2));
+  EXPECT_EQ(a.build().num_edges(), 3u);
+  EXPECT_EQ(b.build().num_edges(), 2u);
+}
+
+TEST(GraphBuilderTest, SelfPairIsNeverAnEdge) {
+  // The pair (0,0) packs to key 0, which also marks an empty slot.
+  GraphBuilder b(3);
+  EXPECT_FALSE(b.has_edge(0, 0));
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  EXPECT_FALSE(b.has_edge(0, 0));
+  EXPECT_FALSE(b.has_edge(1, 1));
+  EXPECT_TRUE(b.has_edge(1, 0));
+  EXPECT_FALSE(b.has_edge(0, 2));
+}
+
+TEST(GraphBuilderTest, DedupSurvivesManyGrowthSteps) {
+  // Enough distinct edges to grow the duplicate set many times over; every
+  // edge must still be found, and rejected again in either orientation,
+  // and no absent pair may be reported present.
+  constexpr NodeId kNodes = 300;
+  GraphBuilder b(kNodes);
+  std::vector<EdgeEndpoints> added;
+  util::Rng rng(5);
+  while (added.size() < 20000) {
+    const auto u = static_cast<NodeId>(rng.below(kNodes));
+    const auto v = static_cast<NodeId>(rng.below(kNodes));
+    if (u != v && b.try_add_edge(u, v)) {
+      added.push_back({std::min(u, v), std::max(u, v)});
+    }
+  }
+  std::size_t found = 0, rejected = 0;
+  for (const auto [lo, hi] : added) {
+    found += b.has_edge(lo, hi) && b.has_edge(hi, lo);
+    rejected += !b.try_add_edge(lo, hi) && !b.try_add_edge(hi, lo);
+  }
+  EXPECT_EQ(found, added.size());
+  EXPECT_EQ(rejected, added.size());
+  EXPECT_EQ(b.num_edges(), added.size());
+  std::size_t present = 0;
+  for (NodeId u = 0; u < kNodes; ++u) {
+    for (NodeId v = u + 1; v < kNodes; ++v) present += b.has_edge(u, v);
+  }
+  EXPECT_EQ(present, added.size());
+}
+
+TEST(GraphBuilderTest, BuildMatchesSortedReference) {
+  // Randomly ordered insertions: the CSR must equal one built the obvious
+  // way — rows filled in edge order, then each row sorted by neighbor.
+  constexpr NodeId kNodes = 200;
+  GraphBuilder b(kNodes);
+  util::Rng rng(9);
+  for (int i = 0; i < 3000; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(kNodes));
+    const auto v = static_cast<NodeId>(rng.below(kNodes));
+    if (u != v) (void)b.try_add_edge(u, v, rng.uniform(0.0, 1.0));
+  }
+  const Graph g = b.build();
+  ASSERT_EQ(g.num_edges(), b.num_edges());
+
+  std::vector<std::vector<Neighbor>> rows(kNodes);
+  for (std::size_t e = 0; e < b.num_edges(); ++e) {
+    const auto [lo, hi] = b.edge_at(e);
+    rows[lo].push_back({hi, static_cast<EdgeId>(e)});
+    rows[hi].push_back({lo, static_cast<EdgeId>(e)});
+  }
+  std::vector<std::size_t> offsets{0};
+  std::vector<Neighbor> adjacency;
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end(), [](const Neighbor& x, const Neighbor& y) {
+      return x.node < y.node;
+    });
+    adjacency.insert(adjacency.end(), row.begin(), row.end());
+    offsets.push_back(adjacency.size());
+  }
+  ASSERT_TRUE(std::equal(offsets.begin(), offsets.end(),
+                         g.raw_offsets().begin(), g.raw_offsets().end()));
+  ASSERT_EQ(adjacency.size(), g.raw_adjacency().size());
+  for (std::size_t s = 0; s < adjacency.size(); ++s) {
+    ASSERT_EQ(adjacency[s].node, g.raw_adjacency()[s].node) << "slot " << s;
+    ASSERT_EQ(adjacency[s].edge, g.raw_adjacency()[s].edge) << "slot " << s;
+  }
+  for (std::size_t e = 0; e < b.num_edges(); ++e) {
+    EXPECT_EQ(g.endpoints(static_cast<EdgeId>(e)).lo, b.edge_at(e).lo);
+    EXPECT_EQ(g.endpoints(static_cast<EdgeId>(e)).hi, b.edge_at(e).hi);
+  }
 }
 
 TEST(GraphTest, FromCsrRoundTripsRawArrays) {
