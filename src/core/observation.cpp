@@ -193,7 +193,7 @@ Graph observed_graph(const AttackerView& view) {
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (view.edge_state(e) != EdgeState::kPresent) continue;
     const graph::EdgeEndpoints ep = g.endpoints(e);
-    builder.add_edge(ep.lo, ep.hi, 1.0);
+    builder.append_edge(ep.lo, ep.hi, 1.0);  // prior edges are distinct
   }
   return builder.build();
 }

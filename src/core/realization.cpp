@@ -232,7 +232,7 @@ Graph realized_graph(const Graph& prior, const Realization& truth) {
   for (EdgeId e = 0; e < prior.num_edges(); ++e) {
     if (!truth.edge_present(e)) continue;
     const graph::EdgeEndpoints ep = prior.endpoints(e);
-    builder.add_edge(ep.lo, ep.hi, 1.0);
+    builder.append_edge(ep.lo, ep.hi, 1.0);  // prior edges are distinct
   }
   return builder.build();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -92,7 +93,7 @@ std::vector<NodeId> select_cautious_users(const Graph& graph,
   return cautious;
 }
 
-AccuInstance assemble_instance(const Graph& graph,
+AccuInstance assemble_instance(Graph graph,
                                const std::vector<NodeId>& cautious,
                                const DatasetConfig& config, util::Rng& rng) {
   const NodeId n = graph.num_nodes();
@@ -120,9 +121,9 @@ AccuInstance assemble_instance(const Graph& graph,
   GeneralizedCautiousParams cautious_params{
       std::vector<double>(n, config.cautious_below_prob),
       std::vector<double>(n, config.cautious_above_prob)};
-  return AccuInstance(graph, std::move(classes), std::move(accept_prob),
-                      std::move(threshold), std::move(benefits),
-                      std::move(cautious_params));
+  return AccuInstance(std::move(graph), std::move(classes),
+                      std::move(accept_prob), std::move(threshold),
+                      std::move(benefits), std::move(cautious_params));
 }
 
 AccuInstance make_dataset_from_edge_list(const std::string& path,
@@ -131,27 +132,28 @@ AccuInstance make_dataset_from_edge_list(const std::string& path,
   const Graph raw = graph::read_edge_list_file(path);
   // Rebuild with fresh uniform edge probabilities (§IV-A).
   GraphBuilder builder(raw.num_nodes());
+  builder.reserve(raw.num_edges());
   for (graph::EdgeId e = 0; e < raw.num_edges(); ++e) {
     const graph::EdgeEndpoints ep = raw.endpoints(e);
-    builder.add_edge(ep.lo, ep.hi);
+    builder.append_edge(ep.lo, ep.hi);  // a Graph's edges are distinct
   }
   builder.assign_uniform_probs(rng);
-  const Graph graph = builder.build();
+  Graph graph = builder.build();
   const std::vector<NodeId> cautious = select_cautious_users(
       graph, config.num_cautious, config.cautious_degree_min,
       config.cautious_degree_max, rng);
-  return assemble_instance(graph, cautious, config, rng);
+  return assemble_instance(std::move(graph), cautious, config, rng);
 }
 
 AccuInstance make_dataset(const std::string& name,
                           const DatasetConfig& config, util::Rng& rng) {
   GraphBuilder builder = topology_builder(name, config.scale, rng);
   builder.assign_uniform_probs(rng);  // p_uv ~ U[0,1), §IV-A
-  const Graph graph = builder.build();
+  Graph graph = builder.build();
   const std::vector<NodeId> cautious = select_cautious_users(
       graph, config.num_cautious, config.cautious_degree_min,
       config.cautious_degree_max, rng);
-  return assemble_instance(graph, cautious, config, rng);
+  return assemble_instance(std::move(graph), cautious, config, rng);
 }
 
 }  // namespace accu::datasets

@@ -117,8 +117,9 @@ struct DatasetConfig {
 
 /// Assembles an AccuInstance from a topology and a cautious-user set,
 /// applying the §IV-A acceptance/benefit/threshold protocol (edge
-/// probabilities are taken from `graph` as-is).
-[[nodiscard]] AccuInstance assemble_instance(const Graph& graph,
+/// probabilities are taken from `graph` as-is).  The graph is taken by
+/// value: move it in to hand its CSR arrays to the instance uncopied.
+[[nodiscard]] AccuInstance assemble_instance(Graph graph,
                                              const std::vector<NodeId>& cautious,
                                              const DatasetConfig& config,
                                              util::Rng& rng);

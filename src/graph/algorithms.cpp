@@ -78,7 +78,8 @@ InducedSubgraph induced_subgraph(const Graph& g,
   for (const NodeId old_u : nodes) {
     for (const Neighbor& n : g.neighbors(old_u)) {
       if (n.node > old_u && new_id[n.node] != kInvalidNode) {
-        builder.add_edge(new_id[old_u], new_id[n.node], g.edge_prob(n.edge));
+        builder.append_edge(new_id[old_u], new_id[n.node],
+                            g.edge_prob(n.edge));
       }
     }
   }

@@ -20,12 +20,13 @@ GraphBuilder erdos_renyi(NodeId n, double p, util::Rng& rng) {
   if (n < 2 || p == 0.0) return builder;
   if (p >= 1.0) {
     for (NodeId u = 0; u < n; ++u) {
-      for (NodeId v = u + 1; v < n; ++v) builder.add_edge(u, v);
+      for (NodeId v = u + 1; v < n; ++v) builder.append_edge(u, v);
     }
     return builder;
   }
   // Skip-sampling over the lexicographic enumeration of all pairs (u,v),
-  // u < v: draw the gap to the next present edge geometrically.
+  // u < v: draw the gap to the next present edge geometrically.  Positions
+  // strictly increase, so no pair repeats.
   const auto total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
   std::uint64_t pos = rng.geometric_skips(p);
   while (pos < total) {
@@ -42,7 +43,7 @@ GraphBuilder erdos_renyi(NodeId n, double p, util::Rng& rng) {
     while (u > 0 && row_start(u) > pos) --u;
     while (row_start(u + 1) <= pos) ++u;
     const std::uint64_t v = u + 1 + (pos - row_start(u));
-    builder.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
+    builder.append_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
     pos += 1 + rng.geometric_skips(p);
   }
   return builder;
@@ -52,15 +53,19 @@ GraphBuilder barabasi_albert(NodeId n, std::uint32_t edges_per_node,
                              util::Rng& rng) {
   require(edges_per_node >= 1, "barabasi_albert: edges_per_node must be >=1");
   require(n > edges_per_node, "barabasi_albert: need n > edges_per_node");
+  const std::size_t edges = static_cast<std::size_t>(n) * edges_per_node;
   GraphBuilder builder(n);
+  builder.reserve(edges);
   // Urn of endpoints: every endpoint of every edge appears once, so a
   // uniform draw lands on a node with probability proportional to degree.
+  // Each edge joins the arriving node to distinct earlier targets, so none
+  // repeats and the builder's duplicate set is never needed.
   std::vector<NodeId> urn;
-  urn.reserve(2ull * n * edges_per_node);
+  urn.reserve(2 * edges);
   // Seed: a star on the first edges_per_node+1 nodes gives every early node
   // nonzero degree.
   for (NodeId v = 1; v <= edges_per_node; ++v) {
-    builder.add_edge(0, v);
+    builder.append_edge(0, v);
     urn.push_back(0);
     urn.push_back(v);
   }
@@ -75,7 +80,7 @@ GraphBuilder barabasi_albert(NodeId n, std::uint32_t edges_per_node,
       }
     }
     for (const NodeId t : targets) {
-      builder.add_edge(v, t);
+      builder.append_edge(v, t);
       urn.push_back(v);
       urn.push_back(t);
     }
@@ -89,53 +94,52 @@ GraphBuilder holme_kim(NodeId n, std::uint32_t edges_per_node,
   require(n > edges_per_node, "holme_kim: need n > edges_per_node");
   require(triad_prob >= 0.0 && triad_prob <= 1.0,
           "holme_kim: triad_prob outside [0,1]");
+  const std::size_t edges = static_cast<std::size_t>(n) * edges_per_node;
   GraphBuilder builder(n);
+  builder.reserve(edges);
   std::vector<NodeId> urn;
+  urn.reserve(2 * edges);
   std::vector<std::vector<NodeId>> adj(n);
+  // Every edge joins the arriving node to an earlier one, so the only pairs
+  // a step can repeat are its own links: linked_to[t] == v marks them, and
+  // the builder's duplicate set is never needed.
+  std::vector<NodeId> linked_to(n, kInvalidNode);
   auto link = [&](NodeId a, NodeId b) {
-    if (builder.try_add_edge(a, b)) {
-      urn.push_back(a);
-      urn.push_back(b);
-      adj[a].push_back(b);
-      adj[b].push_back(a);
-      return true;
-    }
-    return false;
+    builder.append_edge(a, b);
+    linked_to[b] = a;
+    urn.push_back(a);
+    urn.push_back(b);
+    adj[a].push_back(b);
+    adj[b].push_back(a);
   };
   for (NodeId v = 1; v <= edges_per_node; ++v) link(0, v);
   for (NodeId v = edges_per_node + 1; v < n; ++v) {
     NodeId last_target = kInvalidNode;
     std::uint32_t formed = 0;
-    // Guard against pathological rejection loops on tiny graphs.
+    // Guard against pathological rejection loops on tiny graphs.  The first
+    // attempt always links (no triad yet, and the urn holds only earlier
+    // nodes, none linked to v), so every node gets at least one edge.
     std::uint32_t attempts = 0;
     const std::uint32_t max_attempts = 50 * (edges_per_node + 1);
     while (formed < edges_per_node && attempts < max_attempts) {
       ++attempts;
       NodeId target = kInvalidNode;
-      if (last_target != kInvalidNode && rng.bernoulli(triad_prob) &&
-          !adj[last_target].empty()) {
-        // Triad closure: link to a random neighbor of the last PA target.
+      if (last_target != kInvalidNode && rng.bernoulli(triad_prob)) {
+        // Triad closure: link to a random neighbor of the last PA target
+        // (never empty: it holds v).
         target = adj[last_target][rng.index(adj[last_target].size())];
-        if (target == v || builder.has_edge(v, target)) {
+        if (target == v || linked_to[target] == v) {
           // Fall back to preferential attachment below.
           target = kInvalidNode;
         }
       }
       if (target == kInvalidNode) {
         target = urn[rng.index(urn.size())];
-        if (target == v || builder.has_edge(v, target)) continue;
+        if (target == v || linked_to[target] == v) continue;
       }
-      if (link(v, target)) {
-        ++formed;
-        last_target = target;
-      }
-    }
-    // Extremely unlikely fallback: connect to the lowest-id free node so
-    // the graph stays connected.
-    if (formed == 0) {
-      for (NodeId u = 0; u < v; ++u) {
-        if (link(v, u)) break;
-      }
+      link(v, target);
+      ++formed;
+      last_target = target;
     }
   }
   return builder;

@@ -129,6 +129,19 @@ std::uint64_t GraphBuilder::key(NodeId u, NodeId v) noexcept {
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
 
+void GraphBuilder::check_edge(NodeId u, NodeId v, double p) const {
+  if (u >= num_nodes_ || v >= num_nodes_) {
+    throw InvalidArgument("GraphBuilder: endpoint out of range");
+  }
+  if (u == v) {
+    throw InvalidArgument("GraphBuilder: self-loop on node " +
+                          std::to_string(u));
+  }
+  if (!(p >= 0.0 && p <= 1.0)) {
+    throw InvalidArgument("GraphBuilder: edge probability outside [0,1]");
+  }
+}
+
 std::size_t GraphBuilder::probe(std::uint64_t k) const noexcept {
   const std::size_t mask = slots_.size() - 1;
   auto i = static_cast<std::size_t>((k * 0x9E3779B97F4A7C15ULL) >> shift_);
@@ -136,13 +149,27 @@ std::size_t GraphBuilder::probe(std::uint64_t k) const noexcept {
   return i;
 }
 
-void GraphBuilder::grow() {
-  const std::size_t size = slots_.empty() ? 16 : 2 * slots_.size();
-  slots_.assign(size, 0);
-  shift_ = 64 - std::countr_zero(size);
-  for (std::size_t e = 0; e < us_.size(); ++e) {
-    const std::uint64_t k = key(us_[e], vs_[e]);
-    slots_[probe(k)] = k;
+void GraphBuilder::index(std::size_t edges) const {
+  if (2 * edges > slots_.size()) {
+    std::size_t size = slots_.empty() ? 16 : 2 * slots_.size();
+    while (2 * edges > size) size *= 2;
+    slots_.assign(size, 0);
+    shift_ = 64 - std::countr_zero(size);
+    for (std::size_t e = 0; e < indexed_; ++e) {
+      const std::uint64_t k = key(us_[e], vs_[e]);
+      slots_[probe(k)] = k;
+    }
+  }
+  for (; indexed_ < us_.size(); ++indexed_) {
+    const std::uint64_t k = key(us_[indexed_], vs_[indexed_]);
+    const std::size_t slot = probe(k);
+    if (slots_[slot] == k) {
+      throw InvalidArgument("GraphBuilder: appended edge (" +
+                            std::to_string(us_[indexed_]) + "," +
+                            std::to_string(vs_[indexed_]) +
+                            ") is a duplicate");
+    }
+    slots_[slot] = k;
   }
 }
 
@@ -154,17 +181,8 @@ void GraphBuilder::add_edge(NodeId u, NodeId v, double p) {
 }
 
 bool GraphBuilder::try_add_edge(NodeId u, NodeId v, double p) {
-  if (u >= num_nodes_ || v >= num_nodes_) {
-    throw InvalidArgument("GraphBuilder: endpoint out of range");
-  }
-  if (u == v) {
-    throw InvalidArgument("GraphBuilder: self-loop on node " +
-                          std::to_string(u));
-  }
-  if (!(p >= 0.0 && p <= 1.0)) {
-    throw InvalidArgument("GraphBuilder: edge probability outside [0,1]");
-  }
-  if (2 * (us_.size() + 1) > slots_.size()) grow();
+  check_edge(u, v, p);
+  index(us_.size() + 1);
   const std::uint64_t k = key(u, v);
   const std::size_t slot = probe(k);
   if (slots_[slot] == k) return false;
@@ -172,12 +190,28 @@ bool GraphBuilder::try_add_edge(NodeId u, NodeId v, double p) {
   us_.push_back(std::min(u, v));
   vs_.push_back(std::max(u, v));
   ps_.push_back(p);
+  ++indexed_;
   return true;
+}
+
+void GraphBuilder::append_edge(NodeId u, NodeId v, double p) {
+  check_edge(u, v, p);
+  us_.push_back(std::min(u, v));
+  vs_.push_back(std::max(u, v));
+  ps_.push_back(p);
+}
+
+void GraphBuilder::reserve(std::size_t edges) {
+  us_.reserve(edges);
+  vs_.reserve(edges);
+  ps_.reserve(edges);
 }
 
 bool GraphBuilder::has_edge(NodeId u, NodeId v) const {
   // (u,u) would pack to the empty-slot marker 0 when u == 0.
-  if (u == v || slots_.empty()) return false;
+  if (u == v) return false;
+  index(us_.size());
+  if (slots_.empty()) return false;
   const std::uint64_t k = key(u, v);
   return slots_[probe(k)] == k;
 }
@@ -220,12 +254,20 @@ Graph GraphBuilder::build() const {
     buckets[cursor[us_[e]]++] = {vs_[e], eid};
     buckets[cursor[vs_[e]]++] = {us_[e], eid};
   }
+  // An edge appended twice puts w twice in a row of u, next to each other,
+  // so one look at the slot before catches it.
   g.adjacency_.resize(2 * m);
   std::copy(g.offsets_.begin(), g.offsets_.end() - 1, cursor.begin());
   for (NodeId w = 0; w < num_nodes_; ++w) {
     for (std::size_t s = g.offsets_[w]; s < g.offsets_[w + 1]; ++s) {
       const auto [u, e] = buckets[s];
-      g.adjacency_[cursor[u]++] = {w, e};
+      const std::size_t slot = cursor[u]++;
+      if (slot > g.offsets_[u] && g.adjacency_[slot - 1].node == w) {
+        throw InvalidArgument("GraphBuilder: duplicate edge (" +
+                              std::to_string(std::min(u, w)) + "," +
+                              std::to_string(std::max(u, w)) + ")");
+      }
+      g.adjacency_[slot] = {w, e};
     }
   }
   return g;

@@ -147,10 +147,11 @@ class Graph {
 /// Accumulates edges, validates them, and produces an immutable Graph.
 ///
 /// Duplicate undirected edges and self-loops are rejected (generators that
-/// may propose duplicates use `try_add_edge`).  Edge probabilities default
-/// to 1 (a certain edge) and can be reassigned in bulk before `build`, which
-/// is how the dataset factory applies the paper's uniform-[0,1) priors
-/// without regenerating topology.
+/// may propose duplicates use `try_add_edge`; callers that emit each pair
+/// once by construction use `append_edge`, which skips the duplicate set).
+/// Edge probabilities default to 1 (a certain edge) and can be reassigned
+/// in bulk before `build`, which is how the dataset factory applies the
+/// paper's uniform-[0,1) priors without regenerating topology.
 ///
 /// A builder is a plain value: copies own their edge lists and duplicate
 /// sets, so edges added to one copy never affect another.
@@ -168,6 +169,18 @@ class GraphBuilder {
   /// Adds the edge unless it already exists; returns whether it was added.
   bool try_add_edge(NodeId u, NodeId v, double p = 1.0);
 
+  /// Adds edge (u,v) without consulting the duplicate set.  Precondition:
+  /// (u,v) is not in the builder yet.  Range, self-loop and probability
+  /// checks still throw; a broken precondition is caught later, by the
+  /// next `has_edge`/`try_add_edge`/`add_edge` or by `build`, which throw
+  /// InvalidArgument rather than produce a corrupt Graph.
+  void append_edge(NodeId u, NodeId v, double p = 1.0);
+
+  /// Reserves room for `edges` edges in total.
+  void reserve(std::size_t edges);
+
+  /// Whether (u,v) was added.  Indexes any appended edges first, so even
+  /// this const lookup must not race another call on the same builder.
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
 
   /// Endpoints of the i-th added edge (insertion order).
@@ -184,25 +197,35 @@ class GraphBuilder {
   }
 
   /// Finalizes into CSR form in O(V + E) with no sorting; edge ids are
-  /// insertion indices.  The builder may be reused afterwards (its edge
-  /// list is left intact).
+  /// insertion indices.  Throws InvalidArgument if an appended edge
+  /// repeated an earlier one.  The builder may be reused afterwards (its
+  /// edge list is left intact).
   [[nodiscard]] Graph build() const;
 
  private:
   [[nodiscard]] static std::uint64_t key(NodeId u, NodeId v) noexcept;
+  /// Throws InvalidArgument unless (u,v,p) is an in-range, loop-free edge
+  /// with p in [0,1].
+  void check_edge(NodeId u, NodeId v, double p) const;
   /// Slot holding `k`, or the empty slot where probing for it stopped.
   [[nodiscard]] std::size_t probe(std::uint64_t k) const noexcept;
-  /// Doubles the duplicate set and re-inserts every edge.
-  void grow();
+  /// Extends the duplicate set over every edge in the list, growing it to
+  /// hold at least `edges` keys at most half full; throws InvalidArgument
+  /// if an appended edge is already present.
+  void index(std::size_t edges) const;
 
   NodeId num_nodes_;
   std::vector<NodeId> us_, vs_;
   std::vector<double> ps_;
   // Duplicate set: packed (lo,hi) keys in a flat open-addressing table —
   // power-of-two size, Fibonacci hash, linear probing, at most half full.
-  // lo < hi, so no edge packs to 0 and 0 marks an empty slot.
-  std::vector<std::uint64_t> slots_;
-  int shift_ = 64;  // 64 - log2(slots_.size())
+  // lo < hi, so no edge packs to 0 and 0 marks an empty slot.  It covers
+  // the first `indexed_` edges of the list; edges appended past them are
+  // indexed on the next lookup, so a builder fed only by `append_edge`
+  // never fills it.  The lookups are const, hence `mutable`.
+  mutable std::vector<std::uint64_t> slots_;
+  mutable int shift_ = 64;  // 64 - log2(slots_.size())
+  mutable std::size_t indexed_ = 0;
 };
 
 }  // namespace accu::graph

@@ -89,6 +89,116 @@ TEST(GraphBuilderTest, CopiesAreIndependent) {
   EXPECT_EQ(b.build().num_edges(), 2u);
 }
 
+TEST(GraphBuilderTest, LookupsSeeAppendedEdges) {
+  // append_edge skips the duplicate set; the next lookup indexes what it
+  // skipped, so appended edges are found and refused like any other.
+  GraphBuilder b(5);
+  b.append_edge(1, 0);
+  b.append_edge(2, 3, 0.5);
+  EXPECT_TRUE(b.has_edge(0, 1));
+  EXPECT_TRUE(b.has_edge(3, 2));
+  EXPECT_FALSE(b.has_edge(1, 2));
+  b.append_edge(3, 4);
+  EXPECT_FALSE(b.try_add_edge(4, 3));
+  EXPECT_THROW(b.add_edge(0, 1), InvalidArgument);
+  EXPECT_TRUE(b.try_add_edge(1, 2));
+  b.append_edge(0, 4);
+  EXPECT_TRUE(b.has_edge(4, 0));
+  ASSERT_EQ(b.num_edges(), 5u);
+  EXPECT_EQ(b.edge_at(0).lo, 0u);
+  EXPECT_EQ(b.edge_at(0).hi, 1u);
+  const Graph g = b.build();
+  EXPECT_EQ(g.num_edges(), 5u);
+  EXPECT_EQ(g.edge_prob(*g.find_edge(2, 3)), 0.5);
+  EXPECT_EQ(g.find_edge(0, 4), 4u);
+}
+
+TEST(GraphBuilderTest, AppendKeepsArgumentChecks) {
+  GraphBuilder b(3);
+  EXPECT_THROW(b.append_edge(1, 1), InvalidArgument);
+  EXPECT_THROW(b.append_edge(0, 3), InvalidArgument);
+  EXPECT_THROW(b.append_edge(0, 1, 1.5), InvalidArgument);
+  EXPECT_THROW(b.append_edge(0, 1, -0.1), InvalidArgument);
+  EXPECT_EQ(b.num_edges(), 0u);
+}
+
+TEST(GraphBuilderTest, DuplicateAppendIsRejected) {
+  // Breaking append_edge's precondition never yields a Graph: build()
+  // finds the repeated neighbour in its scatter pass...
+  GraphBuilder a(4);
+  a.append_edge(0, 1);
+  a.append_edge(2, 3);
+  a.append_edge(1, 0);
+  EXPECT_THROW((void)a.build(), InvalidArgument);
+  // ...and a lookup finds it while indexing the appended edges.
+  GraphBuilder b(4);
+  b.add_edge(0, 1);
+  b.append_edge(2, 1);
+  b.append_edge(0, 1);
+  EXPECT_THROW((void)b.try_add_edge(2, 3), InvalidArgument);
+  GraphBuilder c(4);
+  c.append_edge(3, 2);
+  c.append_edge(2, 3);
+  EXPECT_THROW((void)c.has_edge(0, 1), InvalidArgument);
+  // A duplicate inside a large row, past many distinct neighbours.
+  GraphBuilder d(200);
+  for (NodeId v = 1; v < 200; ++v) d.append_edge(0, v);
+  d.append_edge(150, 0);
+  EXPECT_THROW((void)d.build(), InvalidArgument);
+}
+
+TEST(GraphBuilderTest, CopiesAfterAppendsAreIndependent) {
+  GraphBuilder a(5);
+  a.append_edge(0, 1);
+  GraphBuilder b = a;
+  b.append_edge(2, 3);
+  EXPECT_TRUE(b.has_edge(0, 1));
+  EXPECT_FALSE(a.has_edge(2, 3));
+  EXPECT_TRUE(a.try_add_edge(2, 3));
+  // A copy taken with appended edges not yet indexed indexes its own.
+  a.append_edge(3, 4);
+  GraphBuilder c = a;
+  EXPECT_TRUE(c.has_edge(3, 4));
+  c.append_edge(0, 4);
+  EXPECT_FALSE(a.has_edge(0, 4));
+  EXPECT_TRUE(a.try_add_edge(0, 4));
+  a.append_edge(1, 2);
+  EXPECT_FALSE(c.has_edge(1, 2));
+  EXPECT_EQ(a.build().num_edges(), 5u);
+  EXPECT_EQ(b.build().num_edges(), 2u);
+  EXPECT_EQ(c.build().num_edges(), 4u);
+}
+
+TEST(GraphBuilderTest, AppendAndTryAddBuildTheSameGraph) {
+  // The same edge sequence, fed once through try_add_edge and once through
+  // append_edge for the pairs known to be new, gives identical CSR arrays.
+  constexpr NodeId kNodes = 150;
+  GraphBuilder checked(kNodes), mixed(kNodes);
+  util::Rng rng(11);
+  for (int i = 0; i < 4000; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(kNodes));
+    const auto v = static_cast<NodeId>(rng.below(kNodes));
+    const double p = rng.uniform(0.0, 1.0);
+    if (u == v || !checked.try_add_edge(u, v, p)) continue;
+    if (i % 3 == 0) {
+      EXPECT_TRUE(mixed.try_add_edge(u, v, p));
+    } else {
+      mixed.append_edge(u, v, p);
+    }
+  }
+  const Graph a = checked.build();
+  const Graph b = mixed.build();
+  ASSERT_EQ(a.num_edges(), b.num_edges());
+  EXPECT_TRUE(std::equal(a.raw_offsets().begin(), a.raw_offsets().end(),
+                         b.raw_offsets().begin()));
+  for (std::size_t s = 0; s < a.raw_adjacency().size(); ++s) {
+    ASSERT_EQ(a.raw_adjacency()[s].node, b.raw_adjacency()[s].node);
+    ASSERT_EQ(a.raw_adjacency()[s].edge, b.raw_adjacency()[s].edge);
+  }
+  EXPECT_TRUE(std::equal(a.raw_probs().begin(), a.raw_probs().end(),
+                         b.raw_probs().begin()));
+}
+
 TEST(GraphBuilderTest, SelfPairIsNeverAnEdge) {
   // The pair (0,0) packs to key 0, which also marks an empty slot.
   GraphBuilder b(3);
